@@ -71,8 +71,6 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     network.outputs = list(data["outputs"])
     for name, data_in, init in data["latches"]:
         network.add_latch(name, data_in, bool(init))
-    from repro.network.netlist import Node
-
     for name, op, fanins, cover in data["nodes"]:
         parsed = None
         if cover is not None:
@@ -82,7 +80,7 @@ def network_from_dict(data: dict[str, Any]) -> Network:
                     for cube in cover
                 ]
             )
-        network.nodes[name] = Node(name, op, list(fanins), parsed)
+        network.add_node(name, op, fanins, parsed)
     return network
 
 

@@ -347,9 +347,7 @@ class _InductionAdapter:
 def copy_cone(source: Network, target: Network, sink: str) -> None:
     """Structurally copy a sink's cone into the rebuilt network, keeping
     original names (idempotent)."""
-    for name in source.topological_order():
-        if name not in source.transitive_fanin([sink]):
-            continue
+    for name in source.in_topological_order(source.transitive_fanin([sink])):
         if target.is_signal(name):
             continue
         node = source.nodes[name]

@@ -66,15 +66,28 @@ class ConeCollapser:
         cached = self._cache.get(signal)
         if cached is not None:
             return cached
-        # Iterative cone evaluation in topological order restricted to the
-        # transitive fanin, to avoid Python recursion limits on deep cones.
-        cone = self.network.transitive_fanin([signal])
-        for name in self.network.topological_order():
-            if name not in cone or name in self._cache:
+        # Evaluate only the uncached part of the cone, in topological
+        # order (iteratively, so deep cones stay clear of Python's
+        # recursion limit).  A cached node's whole cone is cached already,
+        # except cut points, which are never evaluated but whose fanins
+        # are.
+        network = self.network
+        pending: list[str] = []
+        seen: set[str] = set()
+        stack = [signal]
+        while stack:
+            name = stack.pop()
+            if name in seen or name in self._cache:
                 continue
-            if name in self.cut_points:
-                continue  # read as a free variable, never evaluated
-            node = self.network.nodes[name]
+            seen.add(name)
+            node = network.nodes.get(name)
+            if node is None:
+                continue
+            if name not in self.cut_points:
+                pending.append(name)
+            stack.extend(node.fanins)
+        for name in network.in_topological_order(pending):
+            node = network.nodes[name]
             operands = [self._signal_node(fanin) for fanin in node.fanins]
             self._cache[name] = self._apply(node, operands)
         return self._cache[signal]
@@ -157,18 +170,3 @@ class ConeCollapser:
         self.manager = target
         target.mark_reordered()
         return node_map
-
-    def invalidate(self, signals: Iterable[str]) -> None:
-        """Drop cached functions for signals (and their transitive
-        fanouts) after a network edit."""
-        dirty = set(signals)
-        fanouts = self.network.fanout_map()
-        stack = list(dirty)
-        while stack:
-            name = stack.pop()
-            for reader in fanouts.get(name, ()):
-                if reader not in dirty:
-                    dirty.add(reader)
-                    stack.append(reader)
-        for name in dirty:
-            self._cache.pop(name, None)

@@ -63,6 +63,13 @@ class Network:
 
     Signals come in three kinds: primary inputs, latch outputs, and node
     outputs.  Primary outputs are references to any signal.
+
+    The topological order and a name -> position index over it are built
+    on first use and cached until the next structural edit.  Edit through
+    the methods here (``add_*``, :meth:`replace_node`, :meth:`set_fanins`,
+    :meth:`remove_node`, :meth:`remove_latch`, :meth:`prune_dangling`):
+    writing ``nodes``, ``latches`` or a node's ``fanins`` directly is not
+    seen by the cache.
     """
 
     def __init__(self, name: str = "top") -> None:
@@ -71,12 +78,15 @@ class Network:
         self.outputs: list[str] = []
         self.latches: dict[str, Latch] = {}
         self.nodes: dict[str, Node] = {}
+        self._order: Optional[list[str]] = None
+        self._position: Optional[dict[str, int]] = None
 
     # -- construction ----------------------------------------------------
 
     def add_input(self, name: str) -> str:
         self._check_fresh(name)
         self.inputs.append(name)
+        self._edited()
         return name
 
     def add_output(self, signal: str) -> None:
@@ -85,6 +95,7 @@ class Network:
     def add_latch(self, name: str, data_in: str, init: bool = False) -> str:
         self._check_fresh(name)
         self.latches[name] = Latch(name, data_in, init)
+        self._edited()
         return name
 
     def add_node(
@@ -96,6 +107,7 @@ class Network:
     ) -> str:
         self._check_fresh(name)
         self.nodes[name] = Node(name, op, list(fanins), cover)
+        self._edited()
         return name
 
     def _check_fresh(self, name: str) -> None:
@@ -149,11 +161,29 @@ class Network:
         return fanouts
 
     def topological_order(self) -> list[str]:
-        """Node names in fanin-before-fanout order.
+        """Node names in fanin-before-fanout order (a fresh list; the
+        order itself is cached until the next edit).
 
         Raises ``ValueError`` on a combinational cycle or an undefined
         fanin.
         """
+        if self._order is None:
+            self._order = self._sort()
+        return list(self._order)
+
+    def in_topological_order(self, names: Iterable[str]) -> list[str]:
+        """The node names among ``names`` (sources and unknown names are
+        dropped) in :meth:`topological_order` — costs the size of
+        ``names``, not of the network, once the order is cached."""
+        if self._position is None:
+            self._position = {
+                name: i for i, name in enumerate(self.topological_order())
+            }
+        position = self._position
+        return sorted((n for n in names if n in position), key=position.__getitem__)
+
+    def _sort(self) -> list[str]:
+        """The uncached depth-first sort behind :meth:`topological_order`."""
         order: list[str] = []
         state: dict[str, int] = {}  # 0 = visiting, 1 = done
         for root in self.nodes:
@@ -264,8 +294,16 @@ class Network:
 
     # -- editing -----------------------------------------------------------
 
+    def _edited(self) -> None:
+        self._order = self._position = None
+
     def remove_node(self, name: str) -> None:
         del self.nodes[name]
+        self._edited()
+
+    def remove_latch(self, name: str) -> None:
+        del self.latches[name]
+        self._edited()
 
     def replace_node(self, name: str, node: Node) -> None:
         """Swap in a new definition for an existing node name."""
@@ -273,6 +311,12 @@ class Network:
             raise KeyError(name)
         node.name = name
         self.nodes[name] = node
+        self._edited()
+
+    def set_fanins(self, name: str, fanins: Sequence[str]) -> None:
+        """Rewire an existing node to read ``fanins`` (same op and cover)."""
+        self.nodes[name].fanins = list(fanins)
+        self._edited()
 
     def prune_dangling(self) -> int:
         """Remove nodes not in the transitive fanin of any sink; returns
@@ -281,6 +325,8 @@ class Network:
         dead = [name for name in self.nodes if name not in live]
         for name in dead:
             del self.nodes[name]
+        if dead:
+            self._edited()
         return len(dead)
 
     def copy(self) -> "Network":

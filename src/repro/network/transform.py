@@ -32,13 +32,6 @@ def remove_dead_latches(network: Network) -> int:
     feeding only dead logic or other dead latches is dead too."""
     removed_total = 0
     while True:
-        live = network.transitive_fanin(
-            network.outputs
-            + [
-                latch.data_in
-                for latch in network.latches.values()
-            ]
-        )
         # A latch only kept alive by its own (or other dead latches')
         # next-state logic is still dead; iterate to a fixpoint by first
         # considering only primary outputs plus live-latch data.
@@ -54,7 +47,7 @@ def remove_dead_latches(network: Network) -> int:
                         changed = True
         dead = [name for name in network.latches if name not in live]
         for name in dead:
-            del network.latches[name]
+            network.remove_latch(name)
         removed_total += len(dead)
         if not dead:
             break
@@ -76,7 +69,7 @@ def remove_constant_latches(network: Network) -> int:
             value = driver.op == "const1"
             if value != latch.init:
                 continue
-            del network.latches[name]
+            network.remove_latch(name)
             network.add_node(name, "const1" if value else "const0")
             removed += 1
             changed = True
@@ -97,7 +90,7 @@ def merge_cloned_latches(network: Network) -> int:
         for clone in clones:
             if clone == keeper:
                 continue
-            del network.latches[clone]
+            network.remove_latch(clone)
             if clone in protected:
                 # Preserve the output name as an alias of the keeper.
                 network.add_node(clone, "buf", [keeper])
@@ -109,8 +102,8 @@ def merge_cloned_latches(network: Network) -> int:
 
 
 def _rewire(network: Network, replacements: Mapping[str, str]) -> None:
-    for node in network.nodes.values():
-        node.fanins = [replacements.get(f, f) for f in node.fanins]
+    for name, node in network.nodes.items():
+        network.set_fanins(name, [replacements.get(f, f) for f in node.fanins])
     network.outputs = [replacements.get(o, o) for o in network.outputs]
     for latch in network.latches.values():
         latch.data_in = replacements.get(latch.data_in, latch.data_in)
@@ -160,8 +153,7 @@ def _instantiate_expr(
     def emit(expr: Expr) -> str:
         node = build(expr)
         name = network.fresh_name(f"{target}_f")
-        network.nodes[name] = node
-        node.name = name
+        network.add_node(name, node.op, node.fanins, node.cover)
         return name
 
     def build(expr: Expr) -> Node:
@@ -220,7 +212,7 @@ def strash(network: Network) -> int:
             key = (node.op, key_fanins, tuple(c.literals for c in node.cover))
         else:
             key = (node.op, key_fanins)
-        node.fanins = fanins
+        network.set_fanins(name, fanins)
         existing = table.get(key)
         if existing is not None and existing != name:
             if name in protected:
@@ -228,7 +220,7 @@ def strash(network: Network) -> int:
                 network.replace_node(name, Node(name, "buf", [existing]))
             else:
                 replacements[name] = existing
-                del network.nodes[name]
+                network.remove_node(name)
             merged += 1
         else:
             table[key] = name
@@ -250,16 +242,14 @@ def sweep(network: Network) -> int:
             node = network.nodes.get(name)
             if node is None:
                 continue
-            node.fanins = [replacements.get(f, f) for f in node.fanins]
+            network.set_fanins(name, [replacements.get(f, f) for f in node.fanins])
             if name in protected:
                 continue
-            if node.op == "buf":
+            if node.op == "buf" or (
+                node.op in ("and", "or") and len(node.fanins) == 1
+            ):
                 replacements[name] = node.fanins[0]
-                del network.nodes[name]
-                changed = True
-            elif node.op in ("and", "or") and len(node.fanins) == 1:
-                replacements[name] = node.fanins[0]
-                del network.nodes[name]
+                network.remove_node(name)
                 changed = True
         if replacements:
             _rewire(network, replacements)

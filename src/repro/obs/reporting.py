@@ -83,30 +83,64 @@ def pipeline_passes(report: dict[str, Any]) -> list[dict[str, Any]]:
     ]
 
 
+def _span_tree_rows(spans: dict[str, dict[str, Any]]) -> list[str]:
+    """One row per span path, nested under its parent path, siblings by
+    descending total.  Self time is a span's total minus its children's;
+    a parent's self time is repeated as an ``(unattributed)`` row after
+    its children.  A path whose parent was not recorded is shown at the
+    top level under its full path."""
+    children: dict[str, list[str]] = {}
+    for path in spans:
+        parent = path.rpartition("/")[0]
+        children.setdefault(parent if parent in spans else "", []).append(path)
+    top = children.get("", [])
+    grand_total = sum(spans[path]["total"] for path in top if "/" not in path)
+    rows: list[str] = []
+
+    def row(label: str, count: str, total: float, own: float, mean: str, share: str) -> None:
+        rows.append(
+            f"  {label:<48} {count:>7} {total:>9.3f} {own:>9.3f} {mean:>9}{share}".rstrip()
+        )
+
+    def visit(path: str, depth: int) -> None:
+        stat = spans[path]
+        kids = sorted(children.get(path, ()), key=lambda p: -spans[p]["total"])
+        own = max(0.0, stat["total"] - sum(spans[kid]["total"] for kid in kids))
+        share = (
+            f" {100 * stat['total'] / grand_total:5.1f}%"
+            if grand_total and "/" not in path
+            else ""
+        )
+        label = path if depth == 0 else path.rpartition("/")[2]
+        row(
+            "  " * depth + label,
+            str(stat["count"]),
+            stat["total"],
+            own,
+            f"{1000 * stat['mean']:.3f}",
+            share,
+        )
+        for kid in kids:
+            visit(kid, depth + 1)
+        if kids:
+            row("  " * (depth + 1) + "(unattributed)", "", own, own, "", "")
+
+    for path in sorted(top, key=lambda p: -spans[p]["total"]):
+        visit(path, 0)
+    return rows
+
+
 def render_profile(report: dict[str, Any]) -> str:
     """Phase-time and cache-efficiency table for one snapshot."""
     lines: list[str] = []
     spans = report.get("spans", {})
     if spans:
         lines.append("phase timings")
-        lines.append(f"  {'span':<48} {'count':>7} {'total(s)':>9} {'mean(ms)':>9}")
-        grand_total = sum(
-            stat["total"] for path, stat in spans.items() if "/" not in path
+        lines.append(
+            f"  {'span':<48} {'count':>7} {'total(s)':>9} {'self(s)':>9} "
+            f"{'mean(ms)':>9}"
         )
-        for path, stat in sorted(
-            spans.items(), key=lambda item: -item[1]["total"]
-        ):
-            depth = path.count("/")
-            label = ("  " * depth) + path.split("/")[-1]
-            share = (
-                f" {100 * stat['total'] / grand_total:5.1f}%"
-                if grand_total and depth == 0
-                else ""
-            )
-            lines.append(
-                f"  {label:<48} {stat['count']:>7} {stat['total']:>9.3f} "
-                f"{1000 * stat['mean']:>9.3f}{share}"
-            )
+        lines.extend(_span_tree_rows(spans))
     passes = pipeline_passes(report)
     if passes:
         lines.append("")

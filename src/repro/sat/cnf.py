@@ -77,11 +77,10 @@ def encode_cone(
     literal of the sink signal.  ``source_literals`` maps every source in
     the cone to an existing CNF literal (reuse the map across calls to
     share source variables between function copies)."""
-    cone = network.transitive_fanin([sink])
     literal_of: dict[str, int] = dict(source_literals)
     constants: dict[str, Optional[bool]] = {}
-    for name in network.topological_order():
-        if name not in cone or name in literal_of:
+    for name in network.in_topological_order(network.transitive_fanin([sink])):
+        if name in literal_of:
             continue
         node = network.nodes[name]
         inputs = [literal_of[f] for f in node.fanins]

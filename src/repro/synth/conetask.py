@@ -134,13 +134,10 @@ def extract_cone_slice(source, sink: str):
     """
     from repro.network.netlist import Network
 
-    cone = source.transitive_fanin([sink])
     piece = Network(f"{source.name}::{sink}")
     for name in source.cone_inputs(sink):
         piece.add_input(name)
-    for name in source.topological_order():
-        if name not in cone:
-            continue
+    for name in source.in_topological_order(source.transitive_fanin([sink])):
         node = source.nodes[name]
         piece.add_node(name, node.op, list(node.fanins), node.cover)
     piece.add_output(sink)

@@ -356,6 +356,52 @@ class TestProfileRendering:
         text = obs.render_profile(obs.report())
         assert "no metrics" in text
 
+    def test_render_profile_nests_spans_under_their_parents(self):
+        # Sorted globally by total, "dontcare/fixpoint" (4 s) would print
+        # right after "dontcare" (5 s) and ahead of "decompose/build" (1 s),
+        # and "build" would land under "dontcare".
+        def stat(count, total):
+            return {"count": count, "total": total, "mean": total / count}
+
+        spans = {
+            "run": stat(1, 10.0),
+            "run/decompose": stat(3, 2.0),
+            "run/decompose/build": stat(9, 1.5),
+            "run/dontcare": stat(3, 5.0),
+            "run/dontcare/fixpoint": stat(2, 4.0),
+            "other": stat(1, 8.0),
+        }
+        lines = obs.render_profile({"spans": spans}).splitlines()[2:]
+        rows = [line.split() for line in lines]
+        assert [(line.split()[0], len(line) - len(line.lstrip())) for line in lines] == [
+            ("run", 2),
+            ("dontcare", 4),
+            ("fixpoint", 6),
+            ("(unattributed)", 6),
+            ("decompose", 4),
+            ("build", 6),
+            ("(unattributed)", 6),
+            ("(unattributed)", 4),
+            ("other", 2),
+        ]
+        # Columns: span count total self mean [share]; unattributed rows
+        # carry the parent's self time as both total and self.
+        assert rows[0][1:4] == ["1", "10.000", "3.000"]
+        assert rows[1][3] == "1.000"
+        assert rows[2][3] == "4.000"
+        assert rows[3][1:] == ["1.000", "1.000"]
+        assert rows[6][1:] == ["0.500", "0.500"]
+        assert rows[7][1:] == ["3.000", "3.000"]
+        assert rows[8][3] == "8.000"
+
+    def test_render_profile_keeps_orphan_spans(self):
+        # A child whose parent span has not closed yet (a mid-run
+        # snapshot) is listed at the top level under its full path.
+        text = obs.render_profile(
+            {"spans": {"run/collapse": {"count": 2, "total": 0.5, "mean": 0.25}}}
+        )
+        assert text.splitlines()[2].split()[:4] == ["run/collapse", "2", "0.500", "0.500"]
+
     def test_cache_efficiency_extraction(self):
         from repro.bdd import BDDManager
 
