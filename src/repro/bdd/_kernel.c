@@ -11,12 +11,18 @@
  * insertion order, which is what keeps synthesis output bit-identical
  * regardless of which kernel ran.
  *
+ * Every entry point takes one ``bdd_ctx``: the table pointers of the
+ * manager's current table generation.  Python binds a context once
+ * after any table array is swapped or resized and reuses it for every
+ * call until the next swap.
+ *
  * Growth protocol: the C side never allocates Python storage.  When an
  * insert would overflow the node arrays it returns ``BDD_GROW_NODES``;
  * when the unique table crosses 75% load it returns
- * ``BDD_GROW_UNIQUE``.  The Python wrapper grows the corresponding
- * structure and restarts the operation — partial results live in the
- * unique table and op caches, so the restart is near-free.
+ * ``BDD_GROW_UNIQUE``.  The Python wrapper allocates the larger arrays,
+ * re-seats the entries with the ``bdd_rehash_*`` functions below, binds
+ * a new context and restarts the operation — partial results live in
+ * the unique table and caches, so the restart is near-free.
  */
 
 #include <stdint.h>
@@ -52,7 +58,22 @@ enum {
     C_XOR_USED = 11,
     C_NOT_USED = 12,
     C_ITE_USED = 13,
+    C_EX_MASK = 14,
+    C_EX_USED = 15,
+    C_FA_MASK = 16,
+    C_FA_USED = 17,
+    C_AE_MASK = 18,
+    C_AE_USED = 19,
 };
+
+/* Table pointers of one table generation; keep in sync with
+ * repro.bdd.native._CDEF.  Caches not yet allocated are NULL. */
+typedef struct {
+    int64_t *ctrl, *stats, *level, *lo, *hi, *uniq;
+    int64_t *and_k, *and_v, *or_k, *or_v, *xor_k, *xor_v;
+    int64_t *not_k, *not_v, *ite_ka, *ite_kb, *ite_v;
+    int64_t *ex_k, *ex_v, *fa_k, *fa_v, *ae_k1, *ae_k2, *ae_v;
+} bdd_ctx;
 
 /* stats[] layout — keep in sync with repro.bdd.manager. */
 enum {
@@ -146,10 +167,11 @@ static inline int push_result(stacks_t *s, int64_t v) {
 
 /* Find-or-create (lvl, lo, hi) in the unique table.  Returns the node,
  * or a negative growth request. */
-static inline int64_t mk(int64_t lvl, int64_t lo, int64_t hi, int64_t *ctrl,
-                         int64_t *level, int64_t *loa, int64_t *hia,
-                         int64_t *uniq, int64_t *stats) {
+static inline int64_t mk(const bdd_ctx *c, int64_t lvl, int64_t lo,
+                         int64_t hi) {
     if (lo == hi) return lo;
+    int64_t *ctrl = c->ctrl, *level = c->level, *loa = c->lo, *hia = c->hi;
+    int64_t *uniq = c->uniq;
     uint64_t mask = (uint64_t)ctrl[C_UNIQ_MASK];
     uint64_t slot = ((uint64_t)lvl * M1 + (uint64_t)lo * M2 +
                      (uint64_t)hi * M3) & mask;
@@ -170,7 +192,7 @@ static inline int64_t mk(int64_t lvl, int64_t lo, int64_t hi, int64_t *ctrl,
     uniq[slot] = n;
     ctrl[C_NNODES] = n + 1;
     ctrl[C_UNIQ_USED] += 1;
-    stats[S_INSERTS] += 1;
+    c->stats[S_INSERTS] += 1;
     return n;
 }
 
@@ -193,20 +215,11 @@ static inline int cache_put(int64_t *keys, int64_t *vals, uint64_t mask,
     return evicted;
 }
 
-#define ARGS_TAIL                                                         \
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,            \
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,         \
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,        \
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,     \
-    int64_t *stats
-
-#define PASS_TAIL                                                         \
-    ctrl, level, loa, hia, uniq, and_k, and_v, or_k, or_v, xor_k,         \
-    xor_v, not_k, not_v, ite_ka, ite_kb, ite_v, stats
-
 /* Complement ~f.  Mirrors BDDManager._py_negate. */
-int64_t bdd_negate(int64_t f, ARGS_TAIL) {
+int64_t bdd_negate(const bdd_ctx *c, int64_t f) {
     if (f <= 1) return 1 - f;
+    int64_t *ctrl = c->ctrl, *stats = c->stats, *level = c->level;
+    int64_t *loa = c->lo, *hia = c->hi, *not_k = c->not_k, *not_v = c->not_v;
     uint64_t nmask = (uint64_t)ctrl[C_NOT_MASK];
     {
         uint64_t slot = ((uint64_t)f * M1) & nmask;
@@ -242,8 +255,7 @@ int64_t bdd_negate(int64_t f, ARGS_TAIL) {
         } else {
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node = mk(level[n], lo, hi, ctrl, level, loa, hia,
-                              uniq, stats);
+            int64_t node = mk(c, level[n], lo, hi);
             if (node < 0) {
                 rc = node;
                 break;
@@ -270,19 +282,21 @@ int64_t bdd_negate(int64_t f, ARGS_TAIL) {
  * already applied the terminal short-circuits and the operand swap, so
  * f, g >= 2 and f < g on entry; per-frame logic mirrors the Python
  * fallback core exactly. */
-int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
+int64_t bdd_apply(const bdd_ctx *c, int64_t op, int64_t f, int64_t g) {
+    int64_t *ctrl = c->ctrl, *stats = c->stats, *level = c->level;
+    int64_t *loa = c->lo, *hia = c->hi;
     int64_t *ck, *cv;
     uint64_t cmask;
     int64_t *cused;
     int s_hit, s_miss;
     if (op == 0) {
-        ck = and_k; cv = and_v; cmask = (uint64_t)ctrl[C_AND_MASK];
+        ck = c->and_k; cv = c->and_v; cmask = (uint64_t)ctrl[C_AND_MASK];
         cused = &ctrl[C_AND_USED]; s_hit = S_AND_HIT; s_miss = S_AND_MISS;
     } else if (op == 1) {
-        ck = or_k; cv = or_v; cmask = (uint64_t)ctrl[C_OR_MASK];
+        ck = c->or_k; cv = c->or_v; cmask = (uint64_t)ctrl[C_OR_MASK];
         cused = &ctrl[C_OR_USED]; s_hit = S_OR_HIT; s_miss = S_OR_MISS;
     } else {
-        ck = xor_k; cv = xor_v; cmask = (uint64_t)ctrl[C_XOR_MASK];
+        ck = c->xor_k; cv = c->xor_v; cmask = (uint64_t)ctrl[C_XOR_MASK];
         cused = &ctrl[C_XOR_USED]; s_hit = S_XOR_HIT; s_miss = S_XOR_MISS;
     }
     {
@@ -321,13 +335,13 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
                 if (a == BDD_FALSE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
                 if (b == BDD_FALSE) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_TRUE) {
-                    int64_t r = bdd_negate(b, PASS_TAIL);
+                    int64_t r = bdd_negate(c, b);
                     if (r < 0) { rc = r; break; }
                     if (!push_result(&s, r)) rc = BDD_NOMEM;
                     continue;
                 }
                 if (b == BDD_TRUE) {
-                    int64_t r = bdd_negate(a, PASS_TAIL);
+                    int64_t r = bdd_negate(c, a);
                     if (r < 0) { rc = r; break; }
                     if (!push_result(&s, r)) rc = BDD_NOMEM;
                     continue;
@@ -363,7 +377,7 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
             if (lo == hi) {
                 node = lo;
             } else {
-                node = mk(top, lo, hi, ctrl, level, loa, hia, uniq, stats);
+                node = mk(c, top, lo, hi);
                 if (node < 0) { rc = node; break; }
             }
             uint64_t slot = ((uint64_t)(key >> 31) * M1 +
@@ -383,7 +397,10 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
 
 /* If-then-else.  The caller has applied the top-level short-circuits,
  * so f >= 2 on entry (g, h may still be terminals). */
-int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
+int64_t bdd_ite(const bdd_ctx *c, int64_t f, int64_t g, int64_t h) {
+    int64_t *ctrl = c->ctrl, *stats = c->stats, *level = c->level;
+    int64_t *loa = c->lo, *hia = c->hi;
+    int64_t *ite_ka = c->ite_ka, *ite_kb = c->ite_kb, *ite_v = c->ite_v;
     uint64_t imask = (uint64_t)ctrl[C_ITE_MASK];
     {
         int64_t ka = (f << 31) | g;
@@ -402,37 +419,37 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
     while (rc == 0 && s.top > 0) {
         frame_t fr = s.frames[--s.top];
         if (fr.tag == 0) {
-            int64_t a = fr.a, b = fr.b, c = fr.c;
+            int64_t a = fr.a, b = fr.b, e = fr.c; /* if a then b else e */
             if (a == BDD_TRUE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
-            if (a == BDD_FALSE) { if (!push_result(&s, c)) rc = BDD_NOMEM; continue; }
-            if (b == c) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
-            if (b == BDD_TRUE && c == BDD_FALSE) {
+            if (a == BDD_FALSE) { if (!push_result(&s, e)) rc = BDD_NOMEM; continue; }
+            if (b == e) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
+            if (b == BDD_TRUE && e == BDD_FALSE) {
                 if (!push_result(&s, a)) rc = BDD_NOMEM; continue;
             }
-            if (b == BDD_FALSE && c == BDD_TRUE) {
-                int64_t r = bdd_negate(a, PASS_TAIL);
+            if (b == BDD_FALSE && e == BDD_TRUE) {
+                int64_t r = bdd_negate(c, a);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
             }
             int64_t ka = (a << 31) | b;
             uint64_t slot = ((uint64_t)a * M1 + (uint64_t)b * M2 +
-                             (uint64_t)c * M3) & imask;
-            if (ite_ka[slot] == ka && ite_kb[slot] == c) {
+                             (uint64_t)e * M3) & imask;
+            if (ite_ka[slot] == ka && ite_kb[slot] == e) {
                 stats[S_ITE_HIT] += 1;
                 if (!push_result(&s, ite_v[slot])) rc = BDD_NOMEM;
                 continue;
             }
             stats[S_ITE_MISS] += 1;
-            int64_t lf = level[a], lg = level[b], lh = level[c];
+            int64_t lf = level[a], lg = level[b], lh = level[e];
             int64_t top = lf;
             if (lg < top) top = lg;
             if (lh < top) top = lh;
             int64_t f0, f1, g0, g1, h0, h1;
             if (lf == top) { f0 = loa[a]; f1 = hia[a]; } else { f0 = a; f1 = a; }
             if (lg == top) { g0 = loa[b]; g1 = hia[b]; } else { g0 = b; g1 = b; }
-            if (lh == top) { h0 = loa[c]; h1 = hia[c]; } else { h0 = c; h1 = c; }
-            if (!push_frame(&s, 1, ka, c, top) ||
+            if (lh == top) { h0 = loa[e]; h1 = hia[e]; } else { h0 = e; h1 = e; }
+            if (!push_frame(&s, 1, ka, e, top) ||
                 !push_frame(&s, 0, f1, g1, h1) ||
                 !push_frame(&s, 0, f0, g0, h0))
                 rc = BDD_NOMEM;
@@ -444,7 +461,7 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
             if (lo == hi) {
                 node = lo;
             } else {
-                node = mk(top, lo, hi, ctrl, level, loa, hia, uniq, stats);
+                node = mk(c, top, lo, hi);
                 if (node < 0) { rc = node; break; }
             }
             uint64_t slot = ((uint64_t)(ka >> 31) * M1 +
@@ -474,7 +491,8 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
 
 /* Binary connective with the public-entry short-circuits applied, for
  * use *inside* other kernels (mirrors manager.apply_and/apply_or). */
-static int64_t apply_full(int64_t op, int64_t a, int64_t b, ARGS_TAIL) {
+static int64_t apply_full(const bdd_ctx *c, int64_t op, int64_t a,
+                          int64_t b) {
     if (a == b) return a;
     if (op == 0) { /* AND */
         if (a == BDD_FALSE || b == BDD_FALSE) return BDD_FALSE;
@@ -486,7 +504,7 @@ static int64_t apply_full(int64_t op, int64_t a, int64_t b, ARGS_TAIL) {
         if (b == BDD_FALSE) return a;
     }
     if (a > b) { int64_t t = a; a = b; b = t; }
-    return bdd_apply(op, a, b, PASS_TAIL);
+    return bdd_apply(c, op, a, b);
 }
 
 /* Is ``lvl`` one of the quantified levels?  ``cube`` is sorted
@@ -523,10 +541,15 @@ static inline int q_put1(int64_t *qk, int64_t *qv, uint64_t qmask,
  * frame: tag 0 expand, tag 1 rebuild an unquantified level, tag 2
  * lo-cofactor of a quantified level done (early-exit on the dominating
  * terminal), tag 3 both cofactors done (combine). */
-static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
-                             const int64_t *cube, int64_t cube_len,
-                             int64_t max_level, int64_t *qk, int64_t *qv,
-                             uint64_t qmask, int64_t *quse, ARGS_TAIL) {
+int64_t bdd_quantify(const bdd_ctx *c, int64_t op, int64_t f, int64_t cid,
+                     const int64_t *cube, int64_t cube_len,
+                     int64_t max_level) {
+    int64_t *ctrl = c->ctrl, *stats = c->stats, *level = c->level;
+    int64_t *loa = c->lo, *hia = c->hi;
+    int64_t *qk = (op == 0) ? c->ex_k : c->fa_k;
+    int64_t *qv = (op == 0) ? c->ex_v : c->fa_v;
+    uint64_t qmask = (uint64_t)ctrl[(op == 0) ? C_EX_MASK : C_FA_MASK];
+    int64_t *quse = &ctrl[(op == 0) ? C_EX_USED : C_FA_USED];
     int s_hit = (op == 0) ? S_EX_HIT : S_FA_HIT;
     int s_miss = (op == 0) ? S_EX_MISS : S_FA_MISS;
     int64_t early = (op == 0) ? BDD_TRUE : BDD_FALSE;
@@ -586,7 +609,7 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
             if (lo == hi) {
                 node = lo;
             } else {
-                node = mk(fr.b, lo, hi, ctrl, level, loa, hia, uniq, stats);
+                node = mk(c, fr.b, lo, hi);
                 if (node < 0) { rc = node; break; }
             }
             if (!q_put1(qk, qv, qmask, quse, fr.a, node)) {
@@ -607,8 +630,7 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
                 rc = BDD_NOMEM;
         } else {
             int64_t hi = s.results[--s.rtop];
-            int64_t node = apply_full(combine, s.results[s.rtop - 1], hi,
-                                      PASS_TAIL);
+            int64_t node = apply_full(c, combine, s.results[s.rtop - 1], hi);
             if (node < 0) { rc = node; break; }
             if (!q_put1(qk, qv, qmask, quse, fr.a, node)) {
                 rc = BDD_GROW_QUANT;
@@ -620,13 +642,6 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
     if (rc == 0) rc = s.results[0];
     stacks_free(&s);
     return rc;
-}
-
-int64_t bdd_quantify(int64_t op, int64_t f, int64_t cid, int64_t *cube,
-                     int64_t cube_len, int64_t max_level, int64_t *qk,
-                     int64_t *qv, int64_t qmask, int64_t *quse, ARGS_TAIL) {
-    return quantify_core(op, f, cid, cube, cube_len, max_level, qk, qv,
-                         (uint64_t)qmask, quse, PASS_TAIL);
 }
 
 /* Lossless insert into the two-word-key and_exists cache; same growth
@@ -655,12 +670,14 @@ static inline int ae_put(int64_t *k1, int64_t *k2, int64_t *v,
 /* Fused relational product ∃cube.(f & g).  Mirrors
  * repro.bdd.quantify.and_exists; pair frames pack (a << 31 | b) into
  * one word since both operands are node indices < 2^31. */
-int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
-                       int64_t cube_len, int64_t max_level, int64_t *ex_k,
-                       int64_t *ex_v, int64_t ex_mask, int64_t *ex_use,
-                       int64_t *ae_k1, int64_t *ae_k2, int64_t *ae_v,
-                       int64_t ae_mask, int64_t *ae_use, ARGS_TAIL) {
-    uint64_t amask = (uint64_t)ae_mask;
+int64_t bdd_and_exists(const bdd_ctx *c, int64_t f, int64_t g, int64_t cid,
+                       const int64_t *cube, int64_t cube_len,
+                       int64_t max_level) {
+    int64_t *ctrl = c->ctrl, *stats = c->stats, *level = c->level;
+    int64_t *loa = c->lo, *hia = c->hi;
+    int64_t *ae_k1 = c->ae_k1, *ae_k2 = c->ae_k2, *ae_v = c->ae_v;
+    uint64_t amask = (uint64_t)ctrl[C_AE_MASK];
+    int64_t *ae_use = &ctrl[C_AE_USED];
     stacks_t s;
     if (!stacks_init(&s)) return BDD_NOMEM;
     int64_t rc = 0;
@@ -677,9 +694,8 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
                 int64_t other = (a == BDD_TRUE) ? b : a;
                 int64_t r = (other == BDD_TRUE)
                     ? BDD_TRUE
-                    : quantify_core(0, other, cid, cube, cube_len,
-                                    max_level, ex_k, ex_v,
-                                    (uint64_t)ex_mask, ex_use, PASS_TAIL);
+                    : bdd_quantify(c, 0, other, cid, cube, cube_len,
+                                   max_level);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
@@ -688,7 +704,7 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
             if (la > max_level && lb > max_level) {
                 /* No quantified variable below either operand: the
                  * product degenerates to a plain conjunction. */
-                int64_t r = apply_full(0, a, b, PASS_TAIL);
+                int64_t r = apply_full(c, 0, a, b);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
@@ -740,7 +756,7 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
             if (lo == hi) {
                 node = lo;
             } else {
-                node = mk(fr.b, lo, hi, ctrl, level, loa, hia, uniq, stats);
+                node = mk(c, fr.b, lo, hi);
                 if (node < 0) { rc = node; break; }
             }
             if (!ae_put(ae_k1, ae_k2, ae_v, amask, ae_use, a, b, cid,
@@ -765,8 +781,7 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
         } else {
             int64_t a = fr.a >> 31, b = fr.a & 0x7FFFFFFF;
             int64_t hi = s.results[--s.rtop];
-            int64_t node = apply_full(1, s.results[s.rtop - 1], hi,
-                                      PASS_TAIL);
+            int64_t node = apply_full(c, 1, s.results[s.rtop - 1], hi);
             if (node < 0) { rc = node; break; }
             if (!ae_put(ae_k1, ae_k2, ae_v, amask, ae_use, a, b, cid,
                         node)) {
@@ -784,8 +799,9 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
 /* Re-seat every live node into a freshly zeroed unique-slot array after
  * Python doubles it (all internal nodes are always live — there is no
  * garbage collection). */
-void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
-                       int64_t *hia, int64_t *slots, int64_t new_mask) {
+void bdd_rehash_unique(int64_t *ctrl, const int64_t *level,
+                       const int64_t *loa, const int64_t *hia,
+                       int64_t *slots, int64_t new_mask) {
     uint64_t mask = (uint64_t)new_mask;
     int64_t n = ctrl[C_NNODES];
     for (int64_t node = 2; node < n; node++) {
@@ -797,4 +813,49 @@ void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
         slots[slot] = node;
     }
     ctrl[C_UNIQ_MASK] = new_mask;
+}
+
+/* Re-seat a cache into freshly zeroed arrays of mask + 1 slots, in old
+ * slot order.  Kinds, by key layout and slot policy:
+ *   0  binary op cache (f << 31 | g), direct-mapped;
+ *   1  NOT cache (node), direct-mapped;
+ *   2  ite cache (f << 31 | g, h), direct-mapped;
+ *   3  quantify cache (node << 31 | cube), lossless linear probe;
+ *   4  and_exists cache (a << 31 | b, cube), lossless linear probe.
+ * k2/nk2 carry the second key word of kinds 2 and 4 (NULL otherwise).
+ * A direct-mapped entry that lands on an occupied slot overwrites it
+ * and counts in stats[S_EVICTED].  Returns the new occupied-slot count.
+ * Mirrors the pure-Python loops of BDDManager._grow_* exactly. */
+int64_t bdd_rehash_cache(int64_t kind, const int64_t *k, const int64_t *k2,
+                         const int64_t *v, int64_t old_cap, int64_t *nk,
+                         int64_t *nk2, int64_t *nv, int64_t new_mask,
+                         int64_t *stats) {
+    uint64_t mask = (uint64_t)new_mask;
+    int64_t used = 0, evicted = 0;
+    for (int64_t i = 0; i < old_cap; i++) {
+        int64_t key = k[i];
+        if (key == 0) continue;
+        uint64_t hi = (uint64_t)(key >> 31), lo = (uint64_t)(key & 0x7FFFFFFF);
+        uint64_t slot;
+        if (kind == 1)
+            slot = ((uint64_t)key * M1) & mask;
+        else if (kind == 2 || kind == 4)
+            slot = (hi * M1 + lo * M2 + (uint64_t)k2[i] * M3) & mask;
+        else
+            slot = (hi * M1 + lo * M2) & mask;
+        if (kind >= 3) {
+            while (nk[slot] != 0)
+                slot = (slot + 1) & mask;
+            used += 1;
+        } else if (nk[slot] == 0) {
+            used += 1;
+        } else {
+            evicted += 1;
+        }
+        nk[slot] = key;
+        if (nk2) nk2[slot] = k2[i];
+        nv[slot] = v[i];
+    }
+    stats[S_EVICTED] += evicted;
+    return used;
 }

@@ -1,13 +1,13 @@
 """On-demand build and load of the native BDD operator kernel.
 
-The manager's hot operator cores (`ite`, AND/OR/XOR, negate) and the
-quantification cores (exists/forall/and_exists) have a C
-implementation in ``_kernel.c`` that works directly on the manager's
-flat ``array('q')`` buffers.  This module compiles it once per source
-digest (``cc -O2 -shared -fPIC``) into ``_build/`` next to the source
-and loads it through cffi's ABI mode — no setuptools, no extension
-machinery, and a silent fallback to the pure-Python cores when a
-compiler or cffi is unavailable.
+The manager's hot operator cores (`ite`, AND/OR/XOR, negate), the
+quantification cores (exists/forall/and_exists) and the table rehash
+loops have a C implementation in ``_kernel.c`` that works directly on
+the manager's flat ``array('q')`` buffers.  This module compiles it
+once per source digest (``cc -O2 -shared -fPIC``) into ``_build/``
+next to the source and loads it through cffi's ABI mode — no
+setuptools, no extension machinery, and a silent fallback to the
+pure-Python cores when a compiler or cffi is unavailable.
 
 Environment gate ``REPRO_NATIVE``:
 
@@ -33,45 +33,28 @@ _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_DIR, "_kernel.c")
 _BUILD_DIR = os.path.join(_DIR, "_build")
 
-#: cffi declarations for the kernel entry points (ABI mode).
+#: cffi declarations for the kernel entry points (ABI mode).  The
+#: struct must match ``bdd_ctx`` in ``_kernel.c`` field for field.
 _CDEF = """
-int64_t bdd_negate(int64_t f,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_apply(int64_t op, int64_t f, int64_t g,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_ite(int64_t f, int64_t g, int64_t h,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_quantify(int64_t op, int64_t f, int64_t cid, int64_t *cube,
-    int64_t cube_len, int64_t max_level, int64_t *qk, int64_t *qv,
-    int64_t qmask, int64_t *quse,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
-    int64_t cube_len, int64_t max_level, int64_t *ex_k, int64_t *ex_v,
-    int64_t ex_mask, int64_t *ex_use, int64_t *ae_k1, int64_t *ae_k2,
-    int64_t *ae_v, int64_t ae_mask, int64_t *ae_use,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
-    int64_t *hia, int64_t *slots, int64_t new_mask);
+typedef struct {
+    int64_t *ctrl, *stats, *level, *lo, *hi, *uniq;
+    int64_t *and_k, *and_v, *or_k, *or_v, *xor_k, *xor_v;
+    int64_t *not_k, *not_v, *ite_ka, *ite_kb, *ite_v;
+    int64_t *ex_k, *ex_v, *fa_k, *fa_v, *ae_k1, *ae_k2, *ae_v;
+} bdd_ctx;
+int64_t bdd_negate(const bdd_ctx *c, int64_t f);
+int64_t bdd_apply(const bdd_ctx *c, int64_t op, int64_t f, int64_t g);
+int64_t bdd_ite(const bdd_ctx *c, int64_t f, int64_t g, int64_t h);
+int64_t bdd_quantify(const bdd_ctx *c, int64_t op, int64_t f, int64_t cid,
+    const int64_t *cube, int64_t cube_len, int64_t max_level);
+int64_t bdd_and_exists(const bdd_ctx *c, int64_t f, int64_t g, int64_t cid,
+    const int64_t *cube, int64_t cube_len, int64_t max_level);
+void bdd_rehash_unique(int64_t *ctrl, const int64_t *level,
+    const int64_t *loa, const int64_t *hia, int64_t *slots,
+    int64_t new_mask);
+int64_t bdd_rehash_cache(int64_t kind, const int64_t *k, const int64_t *k2,
+    const int64_t *v, int64_t old_cap, int64_t *nk, int64_t *nk2,
+    int64_t *nv, int64_t new_mask, int64_t *stats);
 """
 
 _lock = threading.Lock()
@@ -117,6 +100,11 @@ def _build_and_load() -> tuple[Any, Any]:
         os.replace(scratch, so_path)
     ffi = FFI()
     ffi.cdef(_CDEF)
+    # The manager fills a bdd_ctx by copying an array of 64-bit
+    # addresses, so the struct must be exactly its pointer fields.
+    fields = len(ffi.typeof("bdd_ctx").fields)
+    if ffi.sizeof("int64_t *") != 8 or ffi.sizeof("bdd_ctx") != 8 * fields:
+        raise RuntimeError("bdd_ctx is not a packed array of 64-bit pointers")
     lib = ffi.dlopen(so_path)
     return ffi, lib
 

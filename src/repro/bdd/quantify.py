@@ -27,6 +27,9 @@ from repro.bdd.manager import (
     FALSE,
     TRUE,
     VarCube,
+    _C_AE_MASK,
+    _C_EX_MASK,
+    _C_FA_MASK,
     _M1,
     _M2,
     _M3,
@@ -55,7 +58,7 @@ def exists(
     sarr = manager._stat_arr
     qk = manager._ex_k
     qv = manager._ex_v
-    qmask = manager._ex_mask
+    qmask = manager._ctrl[_C_EX_MASK]
 
     # Entry probe in Python even when the C kernel is available: a warm
     # repeat then costs one probe chain, not an FFI round trip.
@@ -78,7 +81,7 @@ def exists(
         manager._q_put("ex", key, value)
         qk = manager._ex_k
         qv = manager._ex_v
-        qmask = manager._ex_mask
+        qmask = manager._ctrl[_C_EX_MASK]
     level = manager._level
     lo_arr = manager._lo
     hi_arr = manager._hi
@@ -162,7 +165,7 @@ def forall(
     sarr = manager._stat_arr
     qk = manager._fa_k
     qv = manager._fa_v
-    qmask = manager._fa_mask
+    qmask = manager._ctrl[_C_FA_MASK]
 
     fkey = (f << 31) | cid
     slot = (f * _M1 + cid * _M2) & qmask
@@ -182,7 +185,7 @@ def forall(
         manager._q_put("fa", key, value)
         qk = manager._fa_k
         qv = manager._fa_v
-        qmask = manager._fa_mask
+        qmask = manager._ctrl[_C_FA_MASK]
     level = manager._level
     lo_arr = manager._lo
     hi_arr = manager._hi
@@ -269,7 +272,7 @@ def and_exists(
     qk1 = manager._ae_k1
     qk2 = manager._ae_k2
     qv = manager._ae_v
-    qmask = manager._ae_mask
+    qmask = manager._ctrl[_C_AE_MASK]
 
     def put(a: int, b: int, value: int) -> None:
         nonlocal qk1, qk2, qv, qmask
@@ -277,7 +280,7 @@ def and_exists(
         qk1 = manager._ae_k1
         qk2 = manager._ae_k2
         qv = manager._ae_v
-        qmask = manager._ae_mask
+        qmask = manager._ctrl[_C_AE_MASK]
 
     level = manager._level
     lo_arr = manager._lo
