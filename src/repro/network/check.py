@@ -133,8 +133,7 @@ def combinational_equivalent_sat(left: Network, right: Network) -> CheckResult:
         miter.num_vars = solver.num_vars
         xor_out = miter.new_var()
         miter.add_xor2(xor_out, left_literals[signal], right_literals[signal])
-        for clause in miter.clauses:
-            solver.add_clause(clause)
+        solver.add_clauses(miter.clauses)
         solver.num_vars = miter.num_vars
         if solver.solve([xor_out]):
             model = solver.model()
