@@ -243,6 +243,53 @@ def test_sat_solver(benchmark):
     benchmark.pedantic(run, rounds=5)
 
 
+def test_sat_selector_checks(benchmark):
+    """The ``sat-cegar`` check pattern: one incremental OR-check solver
+    over a :class:`SelectorCnf` answers a fixed list of partition
+    candidates as selector-assumption solves.  The interval's lower bound
+    is an OR of halves over disjoint supports, so the candidates that
+    respect that split are UNSAT (feasible) and the rest mostly SAT."""
+    from repro.bidec.sat_encoding import SelectorCnf
+
+    num_vars, half = 10, 5
+    rng = random.Random(11)
+    manager = BDDManager(num_vars)
+    order = list(range(num_vars))
+    left = TruthTable.random(half, rng).to_bdd(manager, order[:half])
+    right = TruthTable.random(num_vars - half, rng).to_bdd(manager, order[half:])
+    d1, d2, d3 = (
+        TruthTable.random(num_vars, rng).to_bdd(manager, order) for _ in range(3)
+    )
+    lower = manager.apply_or(left, right)
+    upper = manager.apply_or(
+        lower, manager.apply_and(manager.apply_and(d1, d2), d3)
+    )
+
+    def setup():
+        cnf = SelectorCnf(manager, lower, upper)
+        solver = cnf.builder.to_solver()
+        solver.add_clause([cnf.lower_x])
+        solver.add_clause([-cnf.upper_b])
+        solver.add_clause([-cnf.upper_c])
+        return (solver,), {}
+
+    cnf = SelectorCnf(manager, lower, upper)
+    candidates = []
+    while len(candidates) < 300:
+        e1 = rng.sample(cnf.support[:half], rng.randint(1, 3))
+        e2 = rng.sample(cnf.support[half:], rng.randint(1, 3))
+        if rng.random() < 0.5:
+            e1.append(rng.choice(e2))
+            e2 = [v for v in e2 if v not in e1]
+        if e2:
+            candidates.append(cnf.selector_assumptions(e1, e2))
+
+    def run(solver):
+        return sum(solver.solve(assumptions) for assumptions in candidates)
+
+    benchmark.pedantic(run, setup=setup, rounds=5)
+
+
 @pytest.mark.ungated
 def test_cone_task_telemetry_overhead(benchmark, request):
     """Cost of the live-telemetry hooks on the parallel cone hot path.

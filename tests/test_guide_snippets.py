@@ -77,6 +77,15 @@ class TestGuideSnippets:
         assert d is not None  # this cone is OR-decomposable
         assert route_backend("auto", support_size=14) == "sat-cegar"
 
+    def test_sat_solver_snippet(self):
+        from repro.sat import Solver
+
+        s = Solver()
+        s.add_clauses([[1, 2], [-1, 3]])
+        assert s.solve([-3]) and s.model()[2]
+        s.add_clause([1])
+        assert not s.solve([-3])
+
     def test_recursive_snippet(self):
         from repro.bdd import BDDManager
         from repro.bidec import decompose_recursive
