@@ -1270,6 +1270,9 @@ def _write_crash_diagnostics(args: argparse.Namespace, exc: BaseException) -> No
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every synthesis flag's default is the SynthesisOptions default.
+    from repro.engine.context import SynthesisOptions as Defaults
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sequential logic synthesis using symbolic bi-decomposition",
@@ -1337,7 +1340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--bdd", action="store_true",
                    help="collapse cones and report BDD manager statistics")
-    p.add_argument("--max-cone-inputs", type=int, default=20,
+    p.add_argument("--max-cone-inputs", type=int,
+                   default=Defaults.max_cone_inputs,
                    help="skip cones wider than this when collapsing")
     p.set_defaults(func=cmd_stats)
 
@@ -1346,36 +1350,44 @@ def build_parser() -> argparse.ArgumentParser:
                              help="disable unreachable-state don't cares")
         command.add_argument("--dc-source",
                              choices=("reachability", "induction"),
-                             default="reachability",
+                             default=Defaults.dc_source,
                              help="how to approximate unreachable states")
-        command.add_argument("--partition-size", type=int, default=16,
+        command.add_argument("--partition-size", type=int,
+                             default=Defaults.max_partition_size,
                              help="latch-partition size cap")
-        command.add_argument("--max-support", type=int, default=12,
+        command.add_argument("--max-support", type=int,
+                             default=Defaults.max_support,
                              help="support size above which the greedy "
                                   "fallback replaces symbolic enumeration")
-        command.add_argument("--cone-inputs", type=int, default=20,
+        command.add_argument("--cone-inputs", type=int,
+                             default=Defaults.max_cone_inputs,
                              help="cones wider than this are kept "
                                   "structurally")
         command.add_argument("--objective",
                              choices=("balanced", "min_total"),
-                             default="balanced",
+                             default=Defaults.objective,
                              help="partition-size objective")
-        command.add_argument("--acceptance-ratio", type=float, default=1.25,
+        command.add_argument("--acceptance-ratio", type=float,
+                             default=Defaults.acceptance_ratio,
                              help="accept a rebuilt cone only if its cost "
                                   "is at most this multiple of the original")
         command.add_argument("--no-sharing", action="store_true",
                              help="disable cross-signal function reuse")
-        command.add_argument("--time-budget", type=float, default=None,
+        command.add_argument("--time-budget", type=float,
+                             default=Defaults.time_budget,
                              help="global wall-clock budget in seconds "
                                   "(exhaustion degrades, never fails)")
-        command.add_argument("--node-budget", type=int, default=None,
+        command.add_argument("--node-budget", type=int,
+                             default=Defaults.node_budget,
                              help="global BDD-node budget "
                                   "(exhaustion degrades, never fails)")
-        command.add_argument("--workers", type=int, default=0,
+        command.add_argument("--workers", type=int,
+                             default=Defaults.parallel_workers,
                              help="shard cone decomposition over this many "
                                   "worker processes (0 = in-process; any "
                                   "count is bit-identical to --workers 1)")
-        command.add_argument("--worker-timeout", type=float, default=None,
+        command.add_argument("--worker-timeout", type=float,
+                             default=Defaults.worker_timeout,
                              help="per-cone wall-clock limit in parallel "
                                   "mode; a cone whose worker exceeds it "
                                   "degrades to a structural copy")
@@ -1384,16 +1396,18 @@ def build_parser() -> argparse.ArgumentParser:
                                   "at safe points once they grow past "
                                   "--reorder-threshold nodes (output is "
                                   "bit-identical either way)")
-        command.add_argument("--reorder-threshold", type=int, default=50000,
+        command.add_argument("--reorder-threshold", type=int,
+                             default=Defaults.reorder_threshold,
                              help="node growth since the last rebuild that "
                                   "triggers --auto-reorder")
         command.add_argument("--backend",
                              choices=("bdd", "sat-cegar", "auto"),
-                             default="bdd",
+                             default=Defaults.backend,
                              help="bi-decomposition backend: the symbolic "
                                   "BDD enumeration, the CEGAR-solved 2QBF "
                                   "SAT search, or per-cone auto-routing")
-        command.add_argument("--cegar-iterations", type=int, default=512,
+        command.add_argument("--cegar-iterations", type=int,
+                             default=Defaults.cegar_iterations,
                              help="CEGAR candidate budget per cone for the "
                                   "sat-cegar backend (exhaustion degrades "
                                   "to the BDD backend)")
@@ -1440,15 +1454,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="partitioned reachability analysis")
     p.add_argument("file")
-    p.add_argument("--partition-size", type=int, default=16)
-    p.add_argument("--time-budget", type=float, default=20.0)
+    p.add_argument("--partition-size", type=int,
+                   default=Defaults.max_partition_size)
+    p.add_argument("--time-budget", type=float,
+                   default=Defaults.reach_time_budget)
     add_obs_flags(p)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("decompose", help="bi-decompose one signal")
     p.add_argument("file")
     p.add_argument("signal")
-    p.add_argument("--partition-size", type=int, default=16)
+    p.add_argument("--partition-size", type=int,
+                   default=Defaults.max_partition_size)
     add_obs_flags(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -1460,7 +1477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="netlist path or benchmark name (e.g. s344)")
     p.add_argument("--workload", choices=("optimize", "reach", "map"),
                    default="optimize")
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--time-budget", type=float, default=Defaults.time_budget)
     p.add_argument("--stats-json", metavar="PATH", default=None,
                    help="also write the JSON report to PATH")
     add_trace_flags(p)

@@ -45,12 +45,12 @@ from repro import obs as _obs
 from repro.engine.context import SignalRecord, SynthesisContext
 from repro.engine.passes import (
     _BasePass,
-    cone_literals,
-    copy_cone,
-    record,
+    eligible_cones,
     register_pass,
+    settle_cone,
 )
 from repro.synth.conetask import (
+    TASK_OPTION_KEYS,
     ConeTask,
     dont_care_cubes,
     extract_cone_task,
@@ -329,11 +329,12 @@ def _merge_worker_trace(result: dict[str, Any]) -> None:
 class DecomposeParallelPass(_BasePass):
     """The Algorithm 1 decompose loop, sharded across worker processes.
 
-    Classification (skip / copy / decompose) mirrors the in-process
-    ``decompose`` pass exactly; eligible cones become serialized
-    :class:`ConeTask` objects, the scheduler runs them, and results are
-    merged in sink order.  Worker failures degrade their cone to a
-    structural copy and mark the context degraded — never fatal.
+    Classification, the per-cone step and the settling of results are
+    the serial pass's (see :func:`~repro.engine.passes.eligible_cones`);
+    eligible cones become serialized :class:`ConeTask` objects, the
+    scheduler runs them, and results are settled in sink order.  Worker
+    failures degrade their cone to a structural copy and mark the
+    context degraded — never fatal.
 
     Test/chaos params: ``fault_spec`` (``{sink: mode}`` with modes from
     :data:`repro.synth.conetask.FAULT_MODES`) injects worker faults;
@@ -345,64 +346,31 @@ class DecomposeParallelPass(_BasePass):
     name = "decompose_parallel"
 
     def run(self, context: SynthesisContext) -> None:
-        source = context.source
-        rebuilt = context.ensure_rebuilt()
-        governor = context.governor
-        max_cone_inputs = self.opt(context, "max_cone_inputs")
-        workers = max(1, int(self.opt(context, "parallel_workers") or 1))
-        timeout = self.params.get(
-            "worker_timeout", context.options.worker_timeout
-        )
+        options = self.options_for(context)
+        workers = max(1, int(options.parallel_workers or 1))
+        timeout = options.worker_timeout
         fault_spec: dict[str, str] = self.params.get("fault_spec") or {}
         abort_after = self.params.get("_abort_after_merges")
 
         task_options = {
-            "max_support": self.opt(context, "max_support"),
-            "gates": list(self.opt(context, "gates")),
-            "objective": self.opt(context, "objective"),
-            "sharing_choice": self.opt(context, "sharing_choice"),
-            "enable_sharing": self.opt(context, "enable_sharing"),
-            "acceptance_ratio": self.opt(context, "acceptance_ratio"),
-            "backend": self.opt(context, "backend"),
-            "cegar_iterations": self.opt(context, "cegar_iterations"),
+            key: getattr(options, key) for key in TASK_OPTION_KEYS
         }
+        task_options["gates"] = list(options.gates)
 
-        # -- classification (identical to the serial pass) --------------
-        tasks: list[ConeTask] = []
-        for sink in source.combinational_sinks():
-            if sink in source.inputs or sink in source.latches:
-                context.signal_map[sink] = sink
-                continue
-            if rebuilt.is_signal(sink):
-                # Already materialised — either by an earlier structural
-                # copy or by a merge before a mid-shard checkpoint.
-                context.signal_map[sink] = sink
-                continue
-            if governor.out_of_budget():
-                context.mark_degraded(governor.reason or "budget exhausted")
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(record(SignalRecord(sink, 0, "copied")))
-                continue
-            cone_inputs = source.cone_inputs(sink)
-            if len(cone_inputs) > max_cone_inputs:
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(SignalRecord(sink, len(cone_inputs), "kept-large"))
-                )
-                continue
-            tasks.append(
-                extract_cone_task(
-                    source,
-                    sink,
-                    dc_cubes=self._cone_dc_cubes(context, sink, cone_inputs),
-                    options=task_options,
-                    node_budget=context.options.node_budget,
-                    time_budget=timeout,
-                    fault=fault_spec.get(sink),
-                )
+        tasks: list[ConeTask] = [
+            extract_cone_task(
+                context.source,
+                sink,
+                dc_cubes=self._cone_dc_cubes(context, sink, cone_inputs),
+                options=task_options,
+                node_budget=context.options.node_budget,
+                time_budget=timeout,
+                fault=fault_spec.get(sink),
             )
+            for sink, cone_inputs in eligible_cones(
+                context, options.max_cone_inputs
+            )
+        ]
 
         context.artifacts["parallel.workers"] = workers
         if not tasks:
@@ -582,65 +550,36 @@ class DecomposeParallelPass(_BasePass):
         result: dict[str, Any],
         degraded_cones: list[str],
     ) -> None:
-        from repro.synth.conetask import merge_cone_result
-
-        source = context.source
-        rebuilt = context.ensure_rebuilt()
         sink = task.sink
         action = result.get("action")
         _merge_worker_trace(result)
         nodes = result.get("nodes_allocated")
         if nodes:
             context.governor.add_external_nodes(int(nodes))
-        if action == "decomposed":
-            merge_cone_result(rebuilt, sink, result["replacement"])
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        int(result.get("cone_inputs") or 0),
-                        "decomposed",
-                        result.get("tree_cost"),
-                        result.get("original_cost"),
-                        backend=result.get("backend"),
-                    )
-                )
-            )
-            if _obs.enabled():
-                _obs.inc("parallel.tasks.completed")
-            return
-        if action == "kept-cost":
-            copy_cone(source, rebuilt, sink)
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        int(result.get("cone_inputs") or 0),
-                        "kept-cost",
-                        result.get("tree_cost"),
-                        result.get("original_cost"),
-                        backend=result.get("backend"),
-                    )
-                )
+        cone_inputs = int(result.get("cone_inputs") or 0)
+        if action in ("decomposed", "kept-cost"):
+            settle_cone(
+                context,
+                SignalRecord(
+                    sink,
+                    cone_inputs,
+                    action,
+                    result.get("tree_cost"),
+                    result.get("original_cost"),
+                    backend=result.get("backend"),
+                ),
+                replacement=result.get("replacement"),
             )
             if _obs.enabled():
                 _obs.inc("parallel.tasks.completed")
             return
         # "copied" (worker budget exhaustion) or "failed" (worker never
         # delivered): structural copy, context degraded, cone listed.
-        reason = result.get("degrade_reason") or "worker degraded"
-        copy_cone(source, rebuilt, sink)
-        context.signal_map[sink] = sink
-        context.mark_degraded(reason)
         degraded_cones.append(sink)
-        context.records.append(
-            record(
-                SignalRecord(
-                    sink, int(result.get("cone_inputs") or 0), "copied"
-                )
-            )
+        settle_cone(
+            context,
+            SignalRecord(sink, cone_inputs, "copied"),
+            degrade_reason=result.get("degrade_reason") or "worker degraded",
         )
         if _obs.enabled() and action == "copied":
             _obs.inc("parallel.tasks.worker_degraded")

@@ -19,12 +19,18 @@ it never raises.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import replace
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro import obs as _obs
 from repro.bdd.manager import FALSE
 from repro.bidec.recursive import DecTree
-from repro.engine.context import SignalRecord, SynthesisContext
+from repro.engine.context import (
+    SignalRecord,
+    SynthesisContext,
+    SynthesisOptions,
+)
 from repro.intervals import Interval
 from repro.network.netlist import Network
 from repro.network.transform import (
@@ -94,10 +100,14 @@ class _BasePass:
     def __init__(self, **params: Any) -> None:
         self.params = params
 
-    def opt(self, context: SynthesisContext, key: str) -> Any:
-        if key in self.params:
-            return self.params[key]
-        return getattr(context.options, key)
+    def options_for(self, context: SynthesisContext) -> SynthesisOptions:
+        """The context's options with this pass's option-named params
+        applied on top (other params, such as test hooks, are ignored)."""
+        known = vars(context.options)
+        return replace(
+            context.options,
+            **{k: v for k, v in self.params.items() if k in known},
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.params}>"
@@ -129,17 +139,18 @@ class DontCarePass(_BasePass):
         source = context.source
         if not source.latches:
             return
-        dc_source = self.opt(context, "dc_source")
+        options = self.options_for(context)
+        dc_source = options.dc_source
         if dc_source == "reachability":
             from repro.reach.dontcare import DontCareManager
 
             context.dc_manager = DontCareManager(
                 source,
-                max_partition_size=self.opt(context, "max_partition_size"),
-                time_budget=self.opt(context, "reach_time_budget"),
+                max_partition_size=options.max_partition_size,
+                time_budget=options.reach_time_budget,
                 governor=context.governor,
-                auto_reorder=self.opt(context, "auto_reorder"),
-                reorder_threshold=self.opt(context, "reorder_threshold"),
+                auto_reorder=options.auto_reorder,
+                reorder_threshold=options.reorder_threshold,
             )
         elif dc_source == "induction":
             from repro.reach.induction import InductiveInvariant
@@ -163,38 +174,13 @@ class DecomposePass(_BasePass):
     def run(self, context: SynthesisContext) -> None:
         source = context.source
         rebuilt = context.ensure_rebuilt()
-        governor = context.governor
-        max_cone_inputs = self.opt(context, "max_cone_inputs")
-        acceptance_ratio = self.opt(context, "acceptance_ratio")
-        sharing_choice = self.opt(context, "sharing_choice")
-        use_sharing = self.opt(context, "enable_sharing") or sharing_choice
-
-        for sink in source.combinational_sinks():
-            # Per-sink safe point for --auto-reorder: between sinks the
-            # only live collapser-manager handles are the cone cache and
-            # the sharing table, both remapped by the compaction.
-            context.maybe_compact_bdds()
-            if sink in source.inputs or sink in source.latches:
-                context.signal_map[sink] = sink
-                continue
-            if rebuilt.is_signal(sink):
-                # Already materialised as part of an earlier structural copy.
-                context.signal_map[sink] = sink
-                continue
-            if governor.out_of_budget():
-                context.mark_degraded(governor.reason or "budget exhausted")
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(record(SignalRecord(sink, 0, "copied")))
-                continue
-            cone_inputs = source.cone_inputs(sink)
-            if len(cone_inputs) > max_cone_inputs:
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(SignalRecord(sink, len(cone_inputs), "kept-large"))
-                )
-                continue
+        options = self.options_for(context)
+        # Per-sink safe point for --auto-reorder: between sinks the only
+        # live collapser-manager handles are the cone cache and the
+        # sharing table, both remapped by the compaction.
+        for sink, cone_inputs in eligible_cones(
+            context, options.max_cone_inputs, context.maybe_compact_bdds
+        ):
             collapser = context.ensure_collapser()
             with _obs.span("algorithm1.collapse"):
                 f = collapser.node_function(sink)
@@ -211,71 +197,19 @@ class DecomposePass(_BasePass):
             interval = Interval.with_dont_cares(
                 collapser.manager, f, unreachable
             )
-            with _obs.span("algorithm1.decompose"):
-                from repro.bidec.api import decompose_cone
-                from repro.bidec.backends import backend_for_interval
-
-                backend_name, backend = backend_for_interval(
-                    self.opt(context, "backend"),
-                    interval,
-                    cegar_iterations=self.opt(context, "cegar_iterations"),
-                    governor=governor,
-                )
-                tree = decompose_cone(
-                    interval,
-                    max_support=self.opt(context, "max_support"),
-                    gates=tuple(self.opt(context, "gates")),
-                    objective=self.opt(context, "objective"),
-                    sharing_choice=sharing_choice,
-                    share_table=context.share_table,
-                    backend=backend,
-                )
-            original_cost = cone_literals(source, sink)
-            tree_cost = tree.cost()
-            if tree_cost > acceptance_ratio * max(original_cost, 1):
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(
-                        SignalRecord(
-                            sink,
-                            len(cone_inputs),
-                            "kept-cost",
-                            tree_cost,
-                            original_cost,
-                            backend=backend_name,
-                        )
-                    )
-                )
-                continue
-            var_to_signal = {
-                var: name for name, var in collapser.var_of.items()
-            }
-            with _obs.span("algorithm1.instantiate"):
-                new_signal = instantiate_dectree(
-                    rebuilt,
-                    tree,
-                    var_to_signal,
-                    sink,
-                    context.share_table if use_sharing else None,
-                )
-            # Keep the sink's own name alive (primary-output names are part
-            # of the interface; sweep squeezes the alias out elsewhere).
-            rebuilt.add_node(sink, "buf", [new_signal])
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        len(cone_inputs),
-                        "decomposed",
-                        tree_cost,
-                        original_cost,
-                        backend=backend_name,
-                    ),
-                    tree,
-                )
+            signal_record, tree = synthesize_cone(
+                interval,
+                options,
+                context.governor,
+                context.share_table,
+                source=source,
+                sink=sink,
+                cone_inputs=len(cone_inputs),
+                target=rebuilt,
+                collapser=collapser,
+                phase=lambda step: _obs.span(f"algorithm1.{step}"),
             )
+            settle_cone(context, signal_record, tree)
 
 
 @register_pass("finalize")
@@ -352,6 +286,151 @@ def copy_cone(source: Network, target: Network, sink: str) -> None:
             continue
         node = source.nodes[name]
         target.add_node(name, node.op, list(node.fanins), node.cover)
+
+
+def eligible_cones(
+    context: SynthesisContext,
+    max_cone_inputs: int,
+    safe_point: Optional[Callable[[], Any]] = None,
+) -> Iterator[tuple[str, list[str]]]:
+    """Classify the source's combinational sinks for a decompose pass:
+    settle each sink that gets no decomposition (inputs, latches and
+    sinks already rebuilt map to themselves; budget exhaustion copies
+    and degrades; over-wide cones are ``kept-large``) and yield
+    ``(sink, cone_inputs)`` for the rest.  Lazy, so each budget check
+    follows the caller's work on the previous cone.  ``safe_point``
+    runs at the start of every sink."""
+    source = context.source
+    rebuilt = context.ensure_rebuilt()
+    governor = context.governor
+    for sink in source.combinational_sinks():
+        if safe_point is not None:
+            safe_point()
+        if (
+            sink in source.inputs
+            or sink in source.latches
+            or rebuilt.is_signal(sink)  # copied or merged earlier
+        ):
+            context.signal_map[sink] = sink
+        elif governor.out_of_budget():
+            settle_cone(
+                context,
+                SignalRecord(sink, 0, "copied"),
+                degrade_reason=governor.reason or "budget exhausted",
+            )
+        else:
+            cone_inputs = source.cone_inputs(sink)
+            if len(cone_inputs) <= max_cone_inputs:
+                yield sink, cone_inputs
+            else:
+                settle_cone(
+                    context, SignalRecord(sink, len(cone_inputs), "kept-large")
+                )
+
+
+def synthesize_cone(
+    interval: Interval,
+    options: SynthesisOptions,
+    governor: Any,
+    share_table: dict[int, str],
+    *,
+    source: Network,
+    sink: str,
+    cone_inputs: int,
+    target: Network,
+    collapser: Any,
+    phase: Callable[[str], Any],
+    stop_on_budget: bool = False,
+) -> tuple[SignalRecord, Optional[DecTree]]:
+    """The per-cone step of Algorithm 1, shared by the in-process
+    ``decompose`` pass and the cone worker (:func:`run_cone_task`).
+
+    Routes the interval to a backend and bi-decomposes it.  A tree
+    dearer than ``acceptance_ratio`` times :func:`cone_literals` is
+    ``kept-cost``; an accepted one is instantiated into ``target``
+    (its variables named by ``collapser``, a ``ConeCollapser``, and its
+    gate names avoiding every ``source`` signal) with ``sink`` as a
+    buffer of it, and returned.  ``phase(name)`` wraps the
+    ``decompose`` and ``instantiate`` steps for the caller's
+    telemetry.  With ``stop_on_budget``, a governor that ran out during
+    decomposition makes the cone ``copied``.
+    """
+    from repro.bidec.api import decompose_cone
+    from repro.bidec.backends import backend_for_interval
+
+    with phase("decompose"):
+        backend_name, backend = backend_for_interval(
+            options.backend,
+            interval,
+            cegar_iterations=options.cegar_iterations,
+            governor=governor,
+        )
+        tree = decompose_cone(
+            interval,
+            max_support=options.max_support,
+            gates=tuple(options.gates),
+            objective=options.objective,
+            sharing_choice=options.sharing_choice,
+            share_table=share_table,
+            backend=backend,
+        )
+
+    def outcome(action: str, *costs: int) -> SignalRecord:
+        return SignalRecord(
+            sink, cone_inputs, action, *costs, backend=backend_name
+        )
+
+    if stop_on_budget and governor.out_of_budget():
+        return outcome("copied"), None
+    original_cost = cone_literals(source, sink)
+    tree_cost = tree.cost()
+    if tree_cost > options.acceptance_ratio * max(original_cost, 1):
+        return outcome("kept-cost", tree_cost, original_cost), None
+    use_sharing = options.enable_sharing or options.sharing_choice
+    with phase("instantiate"):
+        var_to_signal = {
+            var: name for name, var in collapser.var_of.items()
+        }
+        new_signal = instantiate_dectree(
+            target,
+            tree,
+            var_to_signal,
+            sink,
+            share_table if use_sharing else None,
+            reserved=source,
+        )
+        # Keep the sink's own name alive (primary-output names are part
+        # of the interface; sweep squeezes the alias out elsewhere).
+        target.add_node(sink, "buf", [new_signal])
+    return outcome("decomposed", tree_cost, original_cost), tree
+
+
+def settle_cone(
+    context: SynthesisContext,
+    signal_record: SignalRecord,
+    tree: Optional[DecTree] = None,
+    *,
+    replacement: Optional[dict[str, Any]] = None,
+    degrade_reason: Optional[str] = None,
+) -> None:
+    """Enter one sink's outcome in the rebuilt network and the records:
+    a decomposed sink is already built in place or is merged from a
+    worker's ``replacement``; any other outcome copies the source cone.
+    ``degrade_reason`` marks the context degraded."""
+    sink = signal_record.signal
+    rebuilt = context.ensure_rebuilt()
+    if signal_record.action != "decomposed":
+        copy_cone(context.source, rebuilt, sink)
+    elif replacement is not None:
+        from repro.synth import conetask
+
+        conetask.merge_cone_result(
+            rebuilt, sink, replacement, reserved=context.source
+        )
+    if degrade_reason is not None:
+        context.mark_degraded(degrade_reason)
+    context.signal_map[sink] = sink
+    context.records.append(record(signal_record, tree))
 
 
 def cone_literals(network: Network, sink: str) -> int:

@@ -114,8 +114,15 @@ class Network:
         if name in self.nodes or name in self.latches or name in self.inputs:
             raise ValueError(f"signal {name!r} already defined")
 
-    def fresh_name(self, prefix: str = "n") -> str:
-        """An unused signal name with the given prefix."""
+    def fresh_name(
+        self, prefix: str = "n", reserved: Optional["Network"] = None
+    ) -> str:
+        """An unused signal name with the given prefix.
+
+        ``reserved`` is a second network whose signal names are also
+        refused — the source a rebuilt network is being grown from, so a
+        fresh gate cannot take the name of a source signal that has not
+        been copied over yet."""
         index = len(self.nodes)
         while True:
             candidate = f"{prefix}{index}"
@@ -123,6 +130,7 @@ class Network:
                 candidate not in self.nodes
                 and candidate not in self.latches
                 and candidate not in self.inputs
+                and (reserved is None or not reserved.is_signal(candidate))
             ):
                 return candidate
             index += 1

@@ -268,10 +268,12 @@ def instantiate_dectree(
     var_to_signal: Mapping[int, str],
     target: str,
     share_table: Optional[dict[int, str]] = None,
+    reserved: Optional[Network] = None,
 ) -> str:
     """Materialise a decomposition tree as network gates driving a fresh
     signal (returned).  ``var_to_signal`` maps the BDD variables of the
-    tree's covers to network signal names.
+    tree's covers to network signal names.  Gate names avoid the
+    signals of ``reserved`` as well (see :meth:`Network.fresh_name`).
 
     ``share_table`` (BDD node -> existing signal) enables the Figure 3.2
     logic-sharing optimisation: subtrees whose function already exists in
@@ -285,15 +287,19 @@ def instantiate_dectree(
             return existing
     if tree.op == "leaf":
         assert tree.cover is not None
-        signal = _instantiate_cover(network, tree.cover, var_to_signal, target)
+        signal = _instantiate_cover(
+            network, tree.cover, var_to_signal, target, reserved
+        )
     else:
         left = instantiate_dectree(
-            network, tree.children[0], var_to_signal, target, share_table
+            network, tree.children[0], var_to_signal, target, share_table,
+            reserved,
         )
         right = instantiate_dectree(
-            network, tree.children[1], var_to_signal, target, share_table
+            network, tree.children[1], var_to_signal, target, share_table,
+            reserved,
         )
-        signal = network.fresh_name(f"{target}_g")
+        signal = network.fresh_name(f"{target}_g", reserved)
         network.add_node(signal, tree.op, [left, right])
     if share_table is not None:
         share_table[tree.function] = signal
@@ -305,6 +311,7 @@ def _instantiate_cover(
     cover: Cover,
     var_to_signal: Mapping[int, str],
     target: str,
+    reserved: Optional[Network],
 ) -> str:
     variables = sorted({var for cube in cover for var, _ in cube.literals})
     position_of = {var: i for i, var in enumerate(variables)}
@@ -316,7 +323,7 @@ def _instantiate_cover(
             for cube in cover
         ]
     )
-    signal = network.fresh_name(f"{target}_c")
+    signal = network.fresh_name(f"{target}_c", reserved)
     network.add_node(
         signal, "cover", [var_to_signal[var] for var in variables], local
     )

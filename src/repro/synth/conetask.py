@@ -34,10 +34,19 @@ import os
 import sys
 import time
 import traceback
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CONE_TASK_VERSION = 1
+
+#: The :class:`~repro.engine.context.SynthesisOptions` fields a task
+#: carries, in wire order.
+TASK_OPTION_KEYS = (
+    "max_support", "gates", "objective", "sharing_choice", "enable_sharing",
+    "acceptance_ratio", "backend", "cegar_iterations",
+)
 
 #: Injected fault modes understood by :func:`run_cone_task` (test/chaos
 #: hooks for the scheduler's degradation paths).
@@ -56,7 +65,8 @@ class ConeTask:
     #: no don't-care information applies (combinational cone, cube
     #: blow-up, or don't cares disabled).
     dc_cubes: Optional[list[list[list[Any]]]]
-    #: Decomposition knobs the worker honours.
+    #: Decomposition knobs the worker honours (:data:`TASK_OPTION_KEYS`;
+    #: a missing one takes its ``SynthesisOptions`` default).
     options: dict[str, Any] = field(default_factory=dict)
     #: Per-task budgets enforced by a worker-local governor.
     node_budget: Optional[int] = None
@@ -189,34 +199,38 @@ def dont_care_cubes(
     ]
 
 
-def merge_cone_result(rebuilt, sink: str, replacement: dict[str, Any]) -> int:
+def merge_cone_result(
+    rebuilt, sink: str, replacement: dict[str, Any], reserved=None
+) -> int:
     """Fold a worker's replacement network into ``rebuilt``.
 
-    Node names are kept when free and deterministically renamed on
-    collision (the rename map applies to downstream fanins within the
-    replacement).  The slice's inputs already exist in ``rebuilt`` as
-    primary inputs or latches, so only logic nodes are added.  Returns
-    the number of nodes merged.
+    Node names are kept when free and deterministically renamed when
+    they collide with a signal of ``rebuilt`` or (the sink aside) of
+    ``reserved``, the source network whose uncopied signals the worker
+    could not see; renames apply to later fanins.  The slice's inputs
+    already exist in ``rebuilt``, so only logic nodes are added.  A sink
+    ``rebuilt`` already defines raises ``ValueError`` before any change.
+    Returns the number of nodes merged.
     """
     from repro.engine.checkpoint import network_from_dict
 
-    piece = network_from_dict(replacement)
-    rename: dict[str, str] = {}
-    added = 0
-    for name, node in piece.nodes.items():
-        fanins = [rename.get(f, f) for f in node.fanins]
-        target_name = name
-        if rebuilt.is_signal(target_name):
-            target_name = rebuilt.fresh_name(f"{name}_p")
-            rename[name] = target_name
-        rebuilt.add_node(target_name, node.op, fanins, node.cover)
-        added += 1
-    if rename.get(sink):
+    if rebuilt.is_signal(sink):
         # The sink's own name must survive as the cone's output alias.
         raise ValueError(
             f"cone sink {sink!r} already defined in the rebuilt network"
         )
-    return added
+    piece = network_from_dict(replacement)
+    rename: dict[str, str] = {}
+    for name, node in piece.nodes.items():
+        fanins = [rename.get(f, f) for f in node.fanins]
+        target_name = name
+        if rebuilt.is_signal(name) or (
+            name != sink and reserved is not None and reserved.is_signal(name)
+        ):
+            target_name = rebuilt.fresh_name(f"{name}_p", reserved)
+            rename[name] = target_name
+        rebuilt.add_node(target_name, node.op, fanins, node.cover)
+    return len(piece.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +304,14 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     bundle.  Worker-local budget exhaustion is *not* an error — it comes
     back as ``action="copied"`` with a ``degrade_reason``.
     """
-    from repro.bidec.api import decompose_cone
     from repro.bdd.manager import BDDManager, FALSE
     from repro.engine.checkpoint import network_from_dict, network_to_dict
+    from repro.engine.context import SynthesisOptions
     from repro.engine.governor import ResourceGovernor
-    from repro.engine.passes import cone_literals
+    from repro.engine.passes import synthesize_cone
     from repro.intervals import Interval
     from repro.network.bdd_build import ConeCollapser
     from repro.network.netlist import Network
-    from repro.network.transform import instantiate_dectree
 
     task = ConeTask.from_dict(data)
     started_wall = time.time()
@@ -309,29 +322,19 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     # is a single None-check no-op.
     bus_mod = sys.modules.get("repro.obs.bus")
 
-    def phase(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.start = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                dur = time.perf_counter() - self_inner.start
-                phases.append(
-                    {
-                        "name": name,
-                        "start": self_inner.start - began,
-                        "dur": dur,
-                    }
-                )
-                if bus_mod is not None:
-                    bus_mod.cone_progress(task.sink, name, dur)
-                return False
-
-        return _Phase()
+    @contextmanager
+    def phase(name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            dur = time.perf_counter() - start
+            phases.append({"name": name, "start": start - began, "dur": dur})
+            if bus_mod is not None:
+                bus_mod.cone_progress(task.sink, name, dur)
 
     _apply_fault(task.fault)
-    options = task.options
+    options = SynthesisOptions.from_dict(task.options)
     node_budget = 0 if task.fault == "starve" else task.node_budget
     governor = ResourceGovernor(
         time_budget=task.time_budget, node_budget=node_budget
@@ -394,58 +397,32 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     # BDD is already built, so this is a linear walk over its DAG.
     signature = interval_signature(manager, interval)
 
-    with phase("decompose"):
-        from repro.bidec.backends import backend_for_interval
-
-        backend_name, backend = backend_for_interval(
-            options.get("backend", "bdd"),
-            interval,
-            cegar_iterations=int(options.get("cegar_iterations", 512)),
-            governor=governor,
-        )
-        share_table: dict[int, str] = {}
-        tree = decompose_cone(
-            interval,
-            max_support=int(options.get("max_support", 12)),
-            gates=tuple(options.get("gates", ("or", "and", "xor"))),
-            objective=options.get("objective", "balanced"),
-            sharing_choice=bool(options.get("sharing_choice", False)),
-            share_table=share_table,
-            backend=backend,
-        )
-    if governor.out_of_budget():
-        return base("copied", degrade_reason=governor.reason)
-
-    original_cost = cone_literals(slice_net, sink)
-    tree_cost = tree.cost()
-    acceptance_ratio = float(options.get("acceptance_ratio", 1.25))
-    if tree_cost > acceptance_ratio * max(original_cost, 1):
-        return base(
-            "kept-cost", tree_cost=tree_cost, original_cost=original_cost
-        )
-
-    with phase("instantiate"):
-        replacement = Network(f"{slice_net.name}::rebuilt")
-        for name in slice_net.inputs:
-            replacement.add_input(name)
-        var_to_signal = {var: name for name, var in collapser.var_of.items()}
-        use_sharing = bool(options.get("enable_sharing", True)) or bool(
-            options.get("sharing_choice", False)
-        )
-        new_signal = instantiate_dectree(
-            replacement,
-            tree,
-            var_to_signal,
-            sink,
-            share_table if use_sharing else None,
-        )
-        replacement.add_node(sink, "buf", [new_signal])
-        replacement.add_output(sink)
+    replacement = Network(f"{slice_net.name}::rebuilt")
+    for name in slice_net.inputs:
+        replacement.add_input(name)
+    replacement.add_output(sink)
+    outcome, tree = synthesize_cone(
+        interval,
+        options,
+        governor,
+        {},
+        source=slice_net,
+        sink=sink,
+        cone_inputs=len(slice_net.inputs),
+        target=replacement,
+        collapser=collapser,
+        phase=phase,
+        stop_on_budget=True,
+    )
+    backend_name = outcome.backend
     return base(
-        "decomposed",
-        tree_cost=tree_cost,
-        original_cost=original_cost,
-        replacement=network_to_dict(replacement),
+        outcome.action,
+        tree_cost=outcome.tree_cost,
+        original_cost=outcome.original_cost,
+        degrade_reason=(
+            governor.reason if outcome.action == "copied" else None
+        ),
+        replacement=None if tree is None else network_to_dict(replacement),
     )
 
 

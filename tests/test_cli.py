@@ -117,6 +117,29 @@ class TestOptimize:
         ]) == 1
 
 
+class TestOptionDefaults:
+    @pytest.mark.parametrize("command", ["optimize", "resynth"])
+    def test_flag_defaults_are_the_option_defaults(self, command):
+        from repro.cli import _synthesis_options, build_parser
+        from repro.synth import SynthesisOptions
+
+        args = build_parser().parse_args([command, "f.blif", "-o", "g.blif"])
+        assert _synthesis_options(args) == SynthesisOptions()
+
+    def test_other_commands_share_the_defaults(self):
+        from repro.cli import build_parser
+        from repro.synth import SynthesisOptions
+
+        parser = build_parser()
+        stats = parser.parse_args(["stats", "f.blif"])
+        assert stats.max_cone_inputs == SynthesisOptions.max_cone_inputs
+        reach = parser.parse_args(["reach", "f.blif"])
+        assert reach.partition_size == SynthesisOptions.max_partition_size
+        assert reach.time_budget == SynthesisOptions.reach_time_budget
+        decompose = parser.parse_args(["decompose", "f.blif", "z"])
+        assert decompose.partition_size == SynthesisOptions.max_partition_size
+
+
 class TestResynth:
     def test_resynth_roundtrip(self, demo_path, tmp_path, capsys):
         out_path = str(tmp_path / "resynth.blif")

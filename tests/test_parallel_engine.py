@@ -437,3 +437,100 @@ class TestDifferential:
         assert sequential_equivalent_reachable(
             cleaned_reference(net), pooled.network
         ).equivalent
+
+
+# ---------------------------------------------------------------------------
+# One cone-synthesis core for both modes
+# ---------------------------------------------------------------------------
+
+
+def _stable(result: dict) -> dict:
+    return {
+        key: value
+        for key, value in result.items()
+        if key not in ("elapsed", "started_wall", "phases", "pid")
+    }
+
+
+def name_clash_circuit():
+    """``x``'s first fresh gate would be named ``x_c0``, which is also a
+    source signal the rebuilt network has not seen yet."""
+    from repro.network.netlist import Network
+
+    net = Network("clash")
+    for name in "abcd":
+        net.add_input(name)
+    net.add_node("ab", "and", ["a", "b"])
+    net.add_node("cd", "and", ["c", "d"])
+    net.add_node("x", "or", ["ab", "cd"])
+    net.add_node("x_c0", "xor", ["a", "c"])
+    net.add_output("x")
+    net.add_output("x_c0")
+    return net
+
+
+class TestSharedConeCore:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_fresh_gates_do_not_shadow_source_signals(self, workers):
+        net = name_clash_circuit()
+        report = algorithm1(
+            net.copy(), SynthesisOptions(parallel_workers=workers)
+        )
+        assert [r.signal for r in report.records] == ["x", "x_c0"]
+        assert report.records[0].action == "decomposed"
+        assert outputs_equal(net, report.network, cycles=16)
+
+    def test_merge_sink_collision_raises_before_mutating(self):
+        from repro.synth import merge_cone_result
+
+        net = name_clash_circuit()
+        result = run_cone_task(extract_cone_task(net, "x").to_dict())
+        assert result["action"] == "decomposed"
+        rebuilt = net.copy()
+        before = network_to_dict(rebuilt)
+        with pytest.raises(ValueError, match="already defined"):
+            merge_cone_result(rebuilt, "x", result["replacement"])
+        assert network_to_dict(rebuilt) == before
+
+    def test_empty_task_options_mean_the_defaults(self):
+        from repro.synth.conetask import TASK_OPTION_KEYS
+
+        defaults = SynthesisOptions().to_dict()
+        explicit = {key: defaults[key] for key in TASK_OPTION_KEYS}
+        net = small_circuit(4)
+        for sink in decompose_sinks(net):
+            bare = run_cone_task(extract_cone_task(net, sink).to_dict())
+            full = run_cone_task(
+                extract_cone_task(net, sink, options=explicit).to_dict()
+            )
+            assert _stable(bare) == _stable(full), sink
+
+    @pytest.mark.parametrize(
+        "key, value, rest",
+        [
+            ("acceptance_ratio", 0.0, {}),
+            ("max_support", 2, {"acceptance_ratio": 1.0}),
+        ],
+    )
+    def test_worker_honours_non_default_options(self, key, value, rest):
+        """Serial and worker runs agree on every sink's action under a
+        non-default option, and the option does change some action."""
+        net = small_circuit(1, latches=10, inputs=6)
+
+        def actions(workers, **options):
+            report = algorithm1(
+                net.copy(),
+                SynthesisOptions(parallel_workers=workers, **options),
+            )
+            return [(r.signal, r.action) for r in report.records]
+
+        tuned = actions(1, **{key: value}, **rest)
+        assert actions(0, **{key: value}, **rest) == tuned
+        assert actions(1, **rest) != tuned
+
+    def test_unknown_task_option_is_rejected(self):
+        net = small_circuit(4)
+        sink = decompose_sinks(net)[0]
+        task = extract_cone_task(net, sink, options={"max_suport": 3})
+        with pytest.raises(ValueError, match="max_suport"):
+            run_cone_task(task.to_dict())
