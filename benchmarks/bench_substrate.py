@@ -292,15 +292,16 @@ def test_sat_selector_checks(benchmark):
 
 @pytest.mark.ungated
 def test_cone_task_telemetry_overhead(benchmark, request):
-    """Cost of the live-telemetry hooks on the parallel cone hot path.
+    """Cost of the cone events on the parallel cone hot path.
 
-    ``run_cone_task`` reaches the bus only through ``sys.modules.get``,
-    so a run without the telemetry flags must pay nothing for the hooks.
-    One fixed cone workload is run three ways: the default off path with
-    the bus module not even imported (the pedantic-timed rows), the
-    module imported but no emitter attached, and a live bus draining a
-    real pipe.  The record is informational (``gated: false``) — the
-    number that matters is ``disabled_overhead`` staying ≈0.
+    ``run_cone_task`` emits its cone events through ``obs.event``, which
+    returns after one check while no sink is installed, so a run without
+    the telemetry flags must pay nothing for them.  One fixed cone
+    workload is run three ways: the default off path with the bus module
+    not even imported (the pedantic-timed rows), the module imported but
+    no bus active, and a live bus receiving every record.  The record is
+    informational (``gated: false``) — the number that matters is
+    ``disabled_overhead`` staying ≈0.
     """
     from repro.benchgen import iscas_analog
     from repro.synth.conetask import extract_cone_task, run_cone_task
@@ -337,14 +338,14 @@ def test_cone_task_telemetry_overhead(benchmark, request):
         if saved is not None:
             sys.modules["repro.obs.bus"] = saved
 
-    # Imported but inactive: the hooks fire but find no emitter.
+    # Imported but inactive: the events find no sink.
     bus_mod = importlib.import_module("repro.obs.bus")
     inactive = best_of()
 
-    # Live: a real bus, events written into its pipe and drained.
+    # Live: a real bus receives every record.
     bus = bus_mod.TelemetryBus(run_id="bench-overhead")
-    with bus.attached():
-        attached = best_of()
+    bus_mod.activate(bus)
+    attached = best_of()
     bus.close()
     assert bus.events_dropped == 0
     assert bus.counts.get("cone.start", 0) >= len(tasks)

@@ -43,9 +43,10 @@ def main() -> None:
 
     # The CLI assembles exactly this stack when the flags are given;
     # engine layers only ever see it through sys.modules, so a run
-    # without it never imports any of these modules.
-    logger = obs_logging.StructuredLogger(log_path, run_id="live-demo")
-    obs_logging.install(logger)
+    # without it never imports any of these modules.  Every event
+    # record, a worker's included, reaches every sink: the log file,
+    # the bus aggregate, and (with obs enabled) the report and trace.
+    log_handler = obs_logging.install(log_path)
     bus = obs_bus.TelemetryBus(run_id="live-demo")
     obs_bus.activate(bus)
     exporter = openmetrics.MetricsExporter(path=metrics_path, bus=bus)
@@ -59,12 +60,11 @@ def main() -> None:
         )
 
     # Teardown order matters: monitor took its final sample above,
-    # exporter flushes last, then the bus drains to EOF.
+    # exporter flushes next, then the bus drains to EOF and the log
+    # closes last.
     exporter.close()
-    obs_bus.deactivate()
     bus.close()
-    obs_logging.uninstall()
-    logger.close()
+    obs_logging.uninstall(log_handler)
 
     print(f"== {bench}: workers={workers}, "
           f"{report.decomposed()} of {len(report.records)} cones "
@@ -84,7 +84,7 @@ def main() -> None:
     per_worker = {}
     cone_ends = [
         record for record in map(json.loads, log_path.read_text().splitlines())
-        if record["event"] == "bus.cone.end"
+        if record["ev"] == "cone.end"
     ]
     for record in cone_ends:
         per_worker[record["pid"]] = per_worker.get(record["pid"], 0) + 1

@@ -18,7 +18,8 @@ parameterized intermediate forms compact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro import obs as _obs
@@ -49,11 +50,11 @@ class PartitionSpace:
     c2_vars: tuple[int, ...]
     #: Scratch-manager indices of the function variables (internal).
     x_vars: tuple[int, ...] = ()
-    #: dag size of ``bi`` — the "BDD size" column of the Section 3.4.1 table.
-    bi_size: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self.bi_size = _count.dag_size(self.manager, self.bi)
+    @cached_property
+    def bi_size(self) -> int:
+        """dag size of ``bi`` — the "BDD size" column of the Section 3.4.1
+        table (walked on first read only)."""
+        return _count.dag_size(self.manager, self.bi)
 
     # -- feasibility ----------------------------------------------------
 

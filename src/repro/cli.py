@@ -64,8 +64,8 @@ Live telemetry (same long-run commands): ``--metrics-file PATH``
 atomically rewrites an OpenMetrics text exposition every monitor
 interval, ``--metrics-port PORT`` serves it at
 ``http://127.0.0.1:PORT/metrics`` on a daemon thread, and
-``--log-json PATH`` appends a structured JSONL run log (pass
-boundaries, per-cone worker events, run/cone-correlated).  Any of these
+``--log-json PATH`` appends every event record as one JSON line (pass
+boundaries, per-signal outcomes, per-cone worker events).  Any of these
 — or ``--status-file`` — also brings up the cross-process telemetry
 bus: worker processes stream per-cone start/progress/heartbeat/degrade
 events to the parent while cones are in flight, status.json gains
@@ -89,7 +89,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.network.netlist import Network
+from repro.network.netlist import NetlistError, Network
 
 
 def _load(path: str) -> Network:
@@ -116,10 +116,14 @@ def _save(network: Network, path: str) -> None:
         save_blif(network, path)
 
 
+def _obs_requested(args: argparse.Namespace) -> bool:
+    return bool(getattr(args, "profile", False) or getattr(args, "stats_json", None))
+
+
 def _obs_begin(args: argparse.Namespace) -> bool:
     """Enable instrumentation when ``--profile``/``--stats-json`` was
     given (before any manager is built, so cache stats are tracked)."""
-    if getattr(args, "profile", False) or getattr(args, "stats_json", None):
+    if _obs_requested(args):
         from repro import obs
 
         obs.reset()
@@ -166,7 +170,7 @@ class _Diagnostics:
         log_json = getattr(args, "log_json", None)
         self.recorder = None
         self.monitor = None
-        self.logger = None
+        self.log_handler = None
         self.bus = None
         self.exporter = None
         self._enabled_obs = False
@@ -181,21 +185,14 @@ class _Diagnostics:
             self._enabled_obs = True
         if self.trace_path:
             self.recorder = obs_trace.install()
-        # Structured run log first, so every later layer (bus mirror,
-        # pipeline boundaries) can write into it from the start.
+        self.log_path = log_json
         if log_json:
             from repro.obs import logging as obs_logging
 
-            self.logger = obs_logging.StructuredLogger(log_json)
-            obs_logging.install(self.logger)
-            self.logger.info(
-                "run.start",
-                command=getattr(args, "command", None),
-                argv=list(sys.argv[1:]),
-            )
+            self.log_handler = obs_logging.install(log_json)
         # The telemetry bus backs every live view (status.json worker
-        # rows, OpenMetrics worker gauges, log-mirrored cone events), so
-        # any of those outputs brings it up.  Out-of-band by design:
+        # rows, OpenMetrics worker gauges, worker records in the log),
+        # so any of those outputs brings it up.  Out-of-band by design:
         # synthesis output is bit-identical with or without it.
         if status_file or metrics_file or metrics_port is not None or log_json:
             from repro.obs import bus as obs_bus
@@ -226,6 +223,11 @@ class _Diagnostics:
                 exporter=self.exporter,
             )
             self.monitor.start()
+        obs.event(
+            "run.start",
+            command=getattr(args, "command", None),
+            argv=list(sys.argv[1:]),
+        )
 
     def make_governor(self, options) -> "object | None":
         """A governor built from the options' budgets, registered with
@@ -241,9 +243,16 @@ class _Diagnostics:
 
     def _teardown_telemetry(self, chatter: bool) -> None:
         """Shared success/crash teardown of the live-telemetry layer, in
-        dependency order: final monitor sample (reads bus), final
-        exposition (reads bus), bus drain/close (mirrors into log), log
+        dependency order: the ``run.end`` record, final monitor sample
+        (reads bus), final exposition (reads bus), bus drain/close, log
         close last."""
+        from repro import obs
+
+        obs.event(
+            "run.end",
+            bus_events=self.bus.events_total() if self.bus else 0,
+            bus_dropped=self.bus.events_dropped if self.bus else 0,
+        )
         if self.monitor is not None:
             self.monitor.stop()
             if chatter and self.monitor.status_file is not None:
@@ -253,30 +262,15 @@ class _Diagnostics:
             if chatter and self.exporter.path is not None:
                 print(f"wrote {self.exporter.path}")
         if self.bus is not None:
-            from repro.obs import bus as obs_bus
-
-            if obs_bus.active() is self.bus:
-                obs_bus.deactivate()
             self.bus.close()
-        if self.logger is not None:
+        if self.log_handler is not None:
             from repro.obs import logging as obs_logging
 
-            self.logger.info(
-                "run.end",
-                bus_events=(
-                    self.bus.events_total() if self.bus is not None else 0
-                ),
-                bus_dropped=(
-                    self.bus.events_dropped if self.bus is not None else 0
-                ),
-            )
-            if obs_logging.active() is self.logger:
-                obs_logging.uninstall()
-            self.logger.close()
-            if chatter and self.logger.path is not None:
+            obs_logging.uninstall(self.log_handler)
+            if chatter:
                 print(
-                    f"wrote {self.logger.path} "
-                    f"({self.logger.records_written} log records)"
+                    f"wrote {self.log_path} "
+                    f"({self.log_handler.records_written} log records)"
                 )
 
     def finish(self) -> None:
@@ -376,12 +370,11 @@ def _ledger_begin(
             _ACTIVE_DIAG.monitor.extra["ledger"] = {
                 "path": str(ledger.path), "run_id": run_id
             }
-        # Correlate the live-telemetry streams with the ledger row:
-        # bus records and log lines carry the run id from here on.
         if _ACTIVE_DIAG.bus is not None:
             _ACTIVE_DIAG.bus.run_id = run_id
-        if _ACTIVE_DIAG.logger is not None:
-            _ACTIVE_DIAG.logger.run_id = run_id
+    # Correlate the event records with the ledger row: every record
+    # carries the run id from here on.
+    obs.stamp(run=run_id)
     return ledger, run_id
 
 
@@ -389,6 +382,7 @@ def _ledger_finish(handle, status: str = "finished", **fields) -> None:
     """Finalise and close the run opened by :func:`_ledger_begin`."""
     if handle is None:
         return
+    from repro import obs
     from repro.obs import ledger as obs_ledger
 
     ledger, run_id = handle
@@ -396,6 +390,7 @@ def _ledger_finish(handle, status: str = "finished", **fields) -> None:
         ledger.finish_run(run_id, status=status, **fields)
     finally:
         obs_ledger.deactivate()
+        obs.stamp(run=None)
         ledger.close()
     print(f"ledger: run {run_id} -> {ledger.path}")
 
@@ -567,6 +562,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         decomposed=report.decomposed(),
         degraded=report.degraded,
         runtime=report.runtime,
+        passes=report.passes,
         artifacts=json_safe_artifacts(report.artifacts),
     )
     return 0
@@ -622,6 +618,7 @@ def cmd_resynth(args: argparse.Namespace) -> int:
         obs_active,
         command="resynth",
         input=args.file,
+        passes=[row for round_ in report.rounds for row in round_.passes],
         trajectory=report.literal_trajectory,
         rounds=len(report.rounds),
         degraded=report.degraded,
@@ -871,6 +868,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         run_info["decomposed"] = report.decomposed()
         run_info["literals_before"] = network.stats()["literals"]
         run_info["literals_after"] = report.network.stats()["literals"]
+        run_info["passes"] = report.passes
     elif args.workload == "reach":
         from repro.reach import DontCareManager
 
@@ -1263,6 +1261,9 @@ def _write_crash_diagnostics(args: argparse.Namespace, exc: BaseException) -> No
             ledger_mod.deactivate()
         except Exception:
             pass
+        from repro import obs
+
+        obs.stamp(run=None)
     global _ACTIVE_DIAG
     if _ACTIVE_DIAG is not None:
         _ACTIVE_DIAG.abort()
@@ -1324,8 +1325,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--log-json", metavar="PATH", default=None,
-            help="append a leveled, run-correlated structured JSONL log "
-                 "(pass boundaries, worker cone events) to PATH",
+            help="append every event record (pass boundaries, per-signal "
+                 "outcomes, worker cone events) to PATH as JSON lines",
         )
 
     def add_ledger_flag(command: argparse.ArgumentParser) -> None:
@@ -1610,6 +1611,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NetlistError as exc:
+        # A malformed input file is the user's to fix: one line naming
+        # path:line, exit 1, no traceback and no crash bundle.
+        global _ACTIVE_DIAG
+        if _ACTIVE_DIAG is not None:
+            _ACTIVE_DIAG.abort()
+            _ACTIVE_DIAG = None
+        if args.command == "profile" or _obs_requested(args):
+            from repro import obs
+
+            obs.disable()  # switched on for the run
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         # Crash diagnostics for instrumented runs: bundle + partial
         # trace flush, then the exception propagates unchanged.

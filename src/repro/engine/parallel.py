@@ -389,33 +389,30 @@ class DecomposeParallelPass(_BasePass):
             _obs.set_gauge("parallel.cones.total", len(tasks))
             _obs.set_gauge("parallel.cones.merged", 0)
             _obs.set_gauge("parallel.cones.degraded", 0)
-        # Live telemetry bus (sys.modules only — never an import): attach
-        # around pool creation so forked workers inherit the write end
-        # and stream cone events while in flight.  Purely out-of-band —
+        # Live telemetry bus (sys.modules only — never an import): while
+        # one is active, the workers the pool forks stream their event
+        # records to the parent as cones run.  Purely out-of-band —
         # dispatch, execution and merge below are untouched.
         bus = None
         bus_mod = sys.modules.get("repro.obs.bus")
         if bus_mod is not None:
             bus = bus_mod.active()
-        if bus is not None:
-            if cost_model:
-                try:
-                    bus.set_expected_costs(
-                        {t.sink: cost_model.predict(t) for t in tasks}
-                    )
-                except Exception:
-                    pass
-            bus.record_local(
-                "shard.dispatch", cones=len(tasks), workers=workers,
-                profile_guided=bool(cost_model),
-            )
+        if bus is not None and cost_model:
+            try:
+                bus.set_expected_costs(
+                    {t.sink: cost_model.predict(t) for t in tasks}
+                )
+            except Exception:
+                pass
+        _obs.event(
+            "shard.dispatch", cones=len(tasks), workers=workers,
+            profile_guided=bool(cost_model),
+        )
         began = time.perf_counter()
         with _obs.span("algorithm1.parallel.execute"):
-            if bus is not None:
-                with bus.attached():
-                    results = scheduler.execute(tasks)
-            else:
-                results = scheduler.execute(tasks)
+            results = scheduler.execute(tasks)
+        if bus is not None:
+            bus.sync()
         if _obs.enabled():
             _obs.observe(
                 "parallel.execute.elapsed", time.perf_counter() - began
@@ -454,14 +451,13 @@ class DecomposeParallelPass(_BasePass):
                 }
             )
             merges += 1
-            if bus is not None:
-                bus.record_local(
-                    "cone.merged",
-                    sink=sink,
-                    action=result.get("action"),
-                    merged=merges,
-                    total=len(tasks),
-                )
+            _obs.event(
+                "cone.merged",
+                sink=sink,
+                action=result.get("action"),
+                merged=merges,
+                total=len(tasks),
+            )
             if _obs.enabled():
                 _obs.set_gauge("parallel.cones.merged", merges)
                 _obs.set_gauge(

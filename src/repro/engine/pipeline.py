@@ -22,7 +22,6 @@ be resumed with :func:`repro.engine.checkpoint.resume_pipeline`.
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Any, Optional, Sequence, Union
 
@@ -151,13 +150,12 @@ class Pipeline:
                 with _obs.span(f"pipeline.{pass_.name}"):
                     pass_.run(context)
             except Exception as exc:
-                if _obs.enabled():
-                    _obs.event(
-                        "pipeline.crash",
-                        index=index,
-                        pass_name=pass_.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                _obs.event(
+                    "pipeline.crash",
+                    index=index,
+                    pass_name=pass_.name,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
                 raise
             elapsed = time.perf_counter() - began
             context.mid_pass_checkpoint = None
@@ -189,33 +187,19 @@ class Pipeline:
                 # No rebuild in flight to degrade — record the fact so
                 # the report still says the run was cut short.
                 context.mark_degraded(governor.reason or "budget exhausted")
+            log_entry["exhausted"] = exhausted
             if _obs.enabled():
                 _obs.inc("pipeline.passes")
-                _obs.event(
-                    "pipeline.pass",
-                    index=index,
-                    pass_name=pass_.name,
-                    elapsed=elapsed,
-                    exhausted=exhausted,
-                    **metrics,
-                )
-            # Ledger pass row, appended at the boundary so a crashed run
-            # still shows how far it got.  The sys.modules lookup keeps
-            # ledger-off runs import-free (see repro.obs.ledger).
-            ledger_mod = sys.modules.get("repro.obs.ledger")
-            if ledger_mod is not None:
-                ledger_mod.record_pass_active(
-                    index, pass_.name, elapsed, exhausted,
-                    metrics=metrics or None,
-                )
-            # Structured run log (sys.modules — CLI-installed only).
-            log_mod = sys.modules.get("repro.obs.logging")
-            if log_mod is not None:
-                log_mod.log_event(
-                    "info", "pipeline.pass", index=index,
-                    pass_name=pass_.name, elapsed=round(elapsed, 6),
-                    exhausted=exhausted, **metrics,
-                )
+            # The one pass-boundary event: the report, trace, run log and
+            # ledger (its pass row) all take it from here.
+            _obs.event(
+                "pipeline.pass",
+                index=index,
+                pass_name=pass_.name,
+                elapsed=elapsed,
+                exhausted=exhausted,
+                **metrics,
+            )
             if checkpoint is not None:
                 from repro.engine.checkpoint import save_checkpoint
 

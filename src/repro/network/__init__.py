@@ -1,7 +1,14 @@
 """Sequential logic networks: netlist data structure, BLIF/ISCAS89 I/O,
 bit-parallel simulation, BDD collapsing and structural transformations."""
 
-from repro.network.netlist import Network, Node, Latch, NODE_OPS, VARIADIC_OPS
+from repro.network.netlist import (
+    Network,
+    Node,
+    Latch,
+    NetlistError,
+    NODE_OPS,
+    VARIADIC_OPS,
+)
 from repro.network.blif import parse_blif, read_blif, write_blif, save_blif
 from repro.network.bench import parse_bench, read_bench, write_bench, save_bench
 from repro.network.simulate import (
@@ -38,6 +45,7 @@ __all__ = [
     "Network",
     "Node",
     "Latch",
+    "NetlistError",
     "NODE_OPS",
     "VARIADIC_OPS",
     "parse_blif",

@@ -10,20 +10,30 @@ possible.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from repro.network.netlist import Network
+from repro.network.netlist import Network, NetlistError, check_read
 
 _GATE_RE = re.compile(r"^\s*([\w.\[\]$]+)\s*=\s*(\w+)\s*\(([^)]*)\)\s*$")
 _IO_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([\w.\[\]$]+)\s*\)\s*$")
 
 
-def parse_bench(text: str) -> Network:
-    """Parse ``.bench`` text into a :class:`Network`."""
+def parse_bench(text: str, where: str = "<bench>") -> Network:
+    """Parse ``.bench`` text into a :class:`Network`.
+
+    A malformed netlist raises :class:`~repro.network.netlist.NetlistError`
+    whose message starts with ``where:line``."""
     network = Network()
-    gate_lines: list[tuple[str, str, list[str]]] = []
-    for raw in text.splitlines():
+    gate_lines: list[tuple[int, str, str, list[str]]] = []
+    defined_at: dict[str, int] = {}
+    output_lines: dict[str, int] = {}
+
+    def fail(number: int, reason: object) -> NetlistError:
+        return NetlistError(f"{where}:{number}: {reason}")
+
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -31,24 +41,43 @@ def parse_bench(text: str) -> Network:
         if io_match:
             kind, name = io_match.groups()
             if kind == "INPUT":
-                network.add_input(name)
+                try:
+                    network.add_input(name)
+                except ValueError as exc:
+                    raise fail(number, exc) from None
+                defined_at[name] = number
             else:
                 network.add_output(name)
+                output_lines.setdefault(name, number)
             continue
         gate_match = _GATE_RE.match(line)
         if not gate_match:
-            raise ValueError(f"unparseable bench line: {raw!r}")
+            raise fail(number, f"unparseable bench line: {raw!r}")
         name, op, operand_text = gate_match.groups()
         operands = [token.strip() for token in operand_text.split(",") if token.strip()]
-        gate_lines.append((name, op.upper(), operands))
+        gate_lines.append((number, name, op.upper(), operands))
     # Latches first so node fanins referencing latch outputs resolve.
-    for name, op, operands in gate_lines:
+    for number, name, op, operands in gate_lines:
         if op == "DFF":
-            network.add_latch(name, operands[0], init=False)
-    for name, op, operands in gate_lines:
+            if len(operands) != 1:
+                raise fail(number, f"DFF {name!r} takes exactly one input")
+            try:
+                network.add_latch(name, operands[0], init=False)
+            except ValueError as exc:
+                raise fail(number, exc) from None
+            defined_at[name] = number
+    for number, name, op, operands in gate_lines:
         if op == "DFF":
             continue
-        _add_gate(network, name, op, operands)
+        known = len(network.nodes)
+        try:
+            _add_gate(network, name, op, operands)
+        except ValueError as exc:
+            raise fail(number, exc) from None
+        # Gates this line added (an inverted gate's inner node included).
+        for added in islice(reversed(network.nodes), len(network.nodes) - known):
+            defined_at[added] = number
+    check_read(network, where, defined_at, output_lines)
     return network
 
 
@@ -73,7 +102,7 @@ def _add_gate(network: Network, name: str, op: str, operands: list[str]) -> None
 
 def read_bench(path: str | Path) -> Network:
     """Read a ``.bench`` file from disk."""
-    return parse_bench(Path(path).read_text())
+    return parse_bench(Path(path).read_text(), str(path))
 
 
 def _gate_line(network: Network, name: str) -> Iterator[str]:

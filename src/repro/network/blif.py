@@ -7,72 +7,95 @@ and off-set single-output covers, and latch init values.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.logic.sop import Cover, Cube
-from repro.network.netlist import Network
+from repro.network.netlist import Network, NetlistError, check_read
 
 
-def _logical_lines(text: str) -> Iterator[str]:
-    """Strip comments, join ``\\`` continuations, drop blanks."""
+def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Strip comments, join ``\\`` continuations, drop blanks; yields
+    ``(line number, text)`` with the number of a joined line's first
+    physical line."""
     pending = ""
-    for raw in text.splitlines():
+    start = 0
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
+        if not pending:
+            start = number
         if line.endswith("\\"):
             pending += line[:-1] + " "
             continue
-        yield (pending + line).strip()
+        yield start, (pending + line).strip()
         pending = ""
     if pending.strip():
-        yield pending.strip()
+        yield start, pending.strip()
 
 
-def parse_blif(text: str) -> Network:
-    """Parse BLIF text into a :class:`Network`."""
+def parse_blif(text: str, where: str = "<blif>") -> Network:
+    """Parse BLIF text into a :class:`Network`.
+
+    A malformed netlist raises :class:`~repro.network.netlist.NetlistError`
+    whose message starts with ``where:line``."""
     network = Network()
     lines = list(_logical_lines(text))
+    defined_at: dict[str, int] = {}
+    output_lines: dict[str, int] = {}
     index = 0
     while index < len(lines):
-        line = lines[index]
+        number, line = lines[index]
         index += 1
         tokens = line.split()
         keyword = tokens[0]
-        if keyword == ".model":
-            network.name = tokens[1] if len(tokens) > 1 else "top"
-        elif keyword == ".inputs":
-            for name in tokens[1:]:
-                network.add_input(name)
-        elif keyword == ".outputs":
-            for name in tokens[1:]:
-                network.add_output(name)
-        elif keyword == ".latch":
-            data_in, output = tokens[1], tokens[2]
-            init = False
-            if tokens[3:]:
-                last = tokens[-1]
-                if last in ("0", "1", "2", "3"):
-                    init = last == "1"
-            network.add_latch(output, data_in, init)
-        elif keyword == ".names":
-            signals = tokens[1:]
-            output = signals[-1]
-            fanins = signals[:-1]
-            rows: list[tuple[str, str]] = []
-            while index < len(lines) and not lines[index].startswith("."):
-                row = lines[index].split()
-                index += 1
-                if len(fanins) == 0:
-                    rows.append(("", row[0]))
-                else:
-                    rows.append((row[0], row[1]))
-            _add_names_node(network, output, fanins, rows)
-        elif keyword == ".end":
-            break
-        else:
-            raise ValueError(f"unsupported BLIF construct: {keyword}")
+        known = len(network.nodes)
+        try:
+            if keyword == ".model":
+                network.name = tokens[1] if len(tokens) > 1 else "top"
+            elif keyword == ".inputs":
+                for name in tokens[1:]:
+                    network.add_input(name)
+                    defined_at[name] = number
+            elif keyword == ".outputs":
+                for name in tokens[1:]:
+                    network.add_output(name)
+                    output_lines.setdefault(name, number)
+            elif keyword == ".latch":
+                data_in, output = tokens[1], tokens[2]
+                init = False
+                if tokens[3:]:
+                    last = tokens[-1]
+                    if last in ("0", "1", "2", "3"):
+                        init = last == "1"
+                network.add_latch(output, data_in, init)
+                defined_at[output] = number
+            elif keyword == ".names":
+                signals = tokens[1:]
+                output = signals[-1]
+                fanins = signals[:-1]
+                rows: list[tuple[str, str]] = []
+                while index < len(lines) and not lines[index][1].startswith("."):
+                    row = lines[index][1].split()
+                    index += 1
+                    if len(fanins) == 0:
+                        rows.append(("", row[0]))
+                    else:
+                        rows.append((row[0], row[1]))
+                _add_names_node(network, output, fanins, rows)
+            elif keyword == ".end":
+                break
+            else:
+                raise ValueError(f"unsupported BLIF construct: {keyword}")
+        except (ValueError, IndexError) as exc:
+            reason = exc if isinstance(exc, ValueError) else f"malformed {keyword}"
+            raise NetlistError(f"{where}:{number}: {reason}") from None
+        # Gates this line added (a cover's off-set shadow included).
+        for name in islice(reversed(network.nodes), len(network.nodes) - known):
+            defined_at[name] = number
+    check_read(network, where, defined_at, output_lines)
     return network
 
 
@@ -115,7 +138,7 @@ def _add_names_node(
 
 def read_blif(path: str | Path) -> Network:
     """Read a BLIF file from disk."""
-    return parse_blif(Path(path).read_text())
+    return parse_blif(Path(path).read_text(), str(path))
 
 
 def _cover_rows(cover: Cover, arity: int) -> Iterator[str]:

@@ -24,6 +24,19 @@ VARIADIC_OPS = {"and", "or", "xor"}
 NODE_OPS = VARIADIC_OPS | {"not", "buf", "const0", "const1", "cover"}
 
 
+class SignalError(ValueError):
+    """A structural fault at one signal (an undefined fanin, a
+    combinational cycle); :attr:`signal` names the node."""
+
+    def __init__(self, message: str, signal: str) -> None:
+        super().__init__(message)
+        self.signal = signal
+
+
+class NetlistError(ValueError):
+    """A malformed netlist file; the message starts with ``path:line``."""
+
+
 @dataclass
 class Node:
     """A combinational node: ``name = op(fanins)``.
@@ -204,14 +217,18 @@ class Network:
                     continue
                 if child_index == 0:
                     if state.get(name) == 0:
-                        raise ValueError(f"combinational cycle through {name!r}")
+                        raise SignalError(
+                            f"combinational cycle through {name!r}", name
+                        )
                     state[name] = 0
                 node = self.nodes[name]
                 advanced = False
                 for i in range(child_index, len(node.fanins)):
                     fanin = node.fanins[i]
                     if not self.is_signal(fanin):
-                        raise ValueError(f"undefined fanin {fanin!r} of {name!r}")
+                        raise SignalError(
+                            f"undefined fanin {fanin!r} of {name!r}", name
+                        )
                     if fanin in self.nodes and state.get(fanin) != 1:
                         stack.append((name, i + 1))
                         stack.append((fanin, 0))
@@ -358,3 +375,31 @@ class Network:
             f"<Network {self.name!r} i/o={s['inputs']}/{s['outputs']} "
             f"latches={s['latches']} nodes={s['nodes']}>"
         )
+
+
+def check_read(
+    network: Network,
+    where: str,
+    lines: dict[str, int],
+    output_lines: dict[str, int],
+) -> None:
+    """Reject a freshly read network that names an undefined signal or
+    holds a combinational cycle, with :class:`NetlistError` naming
+    ``where`` and the line that defines the faulty signal (``lines`` maps
+    each signal to its defining line, ``output_lines`` each primary
+    output to the line listing it)."""
+    for latch in network.latches.values():
+        if not network.is_signal(latch.data_in):
+            raise NetlistError(
+                f"{where}:{lines[latch.name]}: undefined input "
+                f"{latch.data_in!r} of latch {latch.name!r}"
+            )
+    for name in network.outputs:
+        if not network.is_signal(name):
+            raise NetlistError(
+                f"{where}:{output_lines[name]}: undefined output {name!r}"
+            )
+    try:
+        network.topological_order()
+    except SignalError as exc:
+        raise NetlistError(f"{where}:{lines[exc.signal]}: {exc}") from None

@@ -1,66 +1,67 @@
 """Live telemetry bus: streaming worker events while cones are in flight.
 
-Everything the observability stack recorded before this module — spans,
-cone timings, ledger rows — became visible only *after* a shard merged
-or the run finished.  The bus is the live transport: worker processes
-(and the inline ``workers=1`` path, which runs the same code) write one
-line-framed JSON record per event to a pipe the parent created before
-forking, and a parent-side reader thread aggregates the stream into a
-per-worker view (`in-flight cone`, last heartbeat, event counts) that
-the :class:`~repro.obs.monitor.RuntimeMonitor` folds into status.json
-and :mod:`repro.obs.openmetrics` renders for scraping.
+The bus carries event records between processes and keeps the live
+per-worker view.  While a bus is active (:func:`activate`), every worker
+the process pool forks sends each record its :func:`repro.obs.event`
+builds down a pipe the parent created, as one line of JSON, and nothing
+else: the report ring, trace, run log and ledger belong to the parent.
+A parent-side reader thread passes each worker record through the
+parent's own event fan-out (:func:`repro.obs.registry.dispatch`), so
+every parent sink sees worker records exactly as it sees its own.  One
+of those sinks is the bus itself: it counts records by ``ev`` and keeps
+a per-worker view (in-flight cone, phase, last event) that the
+:class:`~repro.obs.monitor.RuntimeMonitor` folds into status.json and
+:mod:`repro.obs.openmetrics` renders for scraping.
 
 Design constraints, in order:
 
 * **Out-of-band.**  Telemetry must never change synthesis output.  The
   bus only observes; the scheduler's plan-ordered merge is untouched,
   so ``workers=N`` stays bit-identical with the bus on or off.
-* **Truthful under pressure.**  The send side is a bounded queue in the
-  only sense that matters for a pipe: the write end is non-blocking,
-  and when the kernel buffer is full the event is *dropped and
-  counted*, never blocked on.  Each subsequent successful record
-  carries the emitter's cumulative ``dropped`` count, and the parent
-  counts unparseable/torn lines, so ``bus.events_dropped`` is exact.
+* **Truthful under pressure.**  The write end is non-blocking: when the
+  kernel buffer is full the record is *dropped and counted*, never
+  blocked on.  Each later record a worker sends carries its cumulative
+  ``dropped`` count, and the reader counts unparseable or torn lines,
+  so ``events_dropped`` is exact.
 * **No torn lines.**  Records are capped below ``PIPE_BUF`` (POSIX
   guarantees atomic pipe writes up to that size), so a reader never
   sees two workers' bytes interleaved mid-line; an oversized record is
   replaced by a small ``truncated`` marker rather than split.
-* **Import-free when off.**  Engine layers reach the bus exclusively
-  through ``sys.modules.get("repro.obs.bus")`` — a run without
-  telemetry flags never imports this module (the CI telemetry-smoke
-  job asserts exactly that in a fresh interpreter).
+* **Import-free when off.**  Engine layers reach the bus only through
+  ``sys.modules.get("repro.obs.bus")`` — a run without telemetry flags
+  never imports this module (the CI telemetry-smoke job asserts exactly
+  that in a fresh interpreter).
 
-Record schema (version :data:`RECORD_VERSION`): every record carries
-``v``, ``ev`` (event name), ``pid``, ``t`` (unix time), and — when the
-bus was built with them — ``run`` (ledger/CLI run id) and ``shard``.
-Cone events add ``sink`` plus event-specific fields:
+The record schema is :func:`repro.obs.event`'s.  The records that move
+a worker's row are the cone lifecycle events, each with ``sink``:
 
 =================  ====================================================
-``cone.start``     ``sink``, ``cone_inputs``
-``cone.progress``  ``sink``, ``phase`` (collapse/decompose/instantiate),
-                   ``dur``
-``heartbeat``      ``sink`` currently in flight (``None`` when idle)
-``cone.degrade``   ``sink``, ``reason``
-``cone.end``       ``sink``, ``action``, ``elapsed``
+``cone.start``     ``cone_inputs``
+``cone.progress``  ``phase`` (collapse/decompose/instantiate), ``dur``
+``heartbeat``      sent every heartbeat interval while a cone is in
+                   flight
+``cone.degrade``   ``reason``
+``cone.end``       ``action``, ``elapsed``, ``degrade_reason``
 =================  ====================================================
-
-The parent may also fold local (non-pipe) events into the same
-aggregate via :meth:`TelemetryBus.record_local` — merge progress and
-dispatch records use this, so the stream a dashboard sees is one
-coherent timeline.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
-from collections import deque
-from typing import Any, Iterator, Optional
-
-RECORD_VERSION = 1
+from typing import Any, Optional
+from repro.obs.registry import (
+    RECORD_VERSION,
+    add_sink,
+    dispatch,
+    forward_to,
+    registry,
+    remove_sink,
+    stamp,
+)
+from repro.obs.registry import event as _event
 
 #: Hard cap on one encoded record.  POSIX guarantees pipe writes up to
 #: ``PIPE_BUF`` (>= 512, 4096 on Linux) are atomic; staying well under
@@ -80,54 +81,35 @@ DEFAULT_STALL_AFTER = 10.0
 #: workloads hit).
 STALL_COST_FACTOR = 8.0
 
+#: The events that move a worker's row in the aggregate.
+WORKER_EVENTS = frozenset(
+    ("cone.start", "cone.progress", "cone.end", "cone.degrade", "heartbeat")
+)
 
-# ---------------------------------------------------------------------------
-# Worker side (also used by the inline workers=1 path in the parent)
-# ---------------------------------------------------------------------------
-
-#: Write-end fd + static record fields, set by ``TelemetryBus.attached()``
-#: *before* the process pool forks so children inherit them.  ``None``
-#: means "no bus" and every emit function returns immediately.
-_WORKER_FD: Optional[int] = None
-_WORKER_META: dict[str, Any] = {}
-_WORKER_HEARTBEAT: float = DEFAULT_HEARTBEAT
-
-_emitter: Optional["_Emitter"] = None
+#: Line the reader treats as a :meth:`TelemetryBus.sync` marker.
+_SYNC = b"sync "
 
 
 class _Emitter:
-    """Per-process send side: serialises records and writes them to the
-    inherited pipe fd, dropping (and counting) on back-pressure."""
+    """Send side of the pipe: writes records whole, dropping (and
+    counting) on back-pressure."""
 
-    def __init__(self, fd: int, meta: dict[str, Any], heartbeat: float) -> None:
+    def __init__(self, fd: int) -> None:
         self.fd = fd
-        self.meta = dict(meta)
-        self.heartbeat = heartbeat
-        self.pid = os.getpid()
         self.dropped = 0
-        self.current_sink: Optional[str] = None
         self._lock = threading.Lock()
-        self._hb_thread: Optional[threading.Thread] = None
-        self._hb_stop = threading.Event()
 
-    def emit(self, ev: str, **fields: Any) -> bool:
-        record: dict[str, Any] = {
-            "v": RECORD_VERSION,
-            "ev": ev,
-            "pid": self.pid,
-            "t": time.time(),
-        }
-        record.update(self.meta)
-        record.update(fields)
+    def write(self, record: dict[str, Any]) -> bool:
         if self.dropped:
-            record["dropped"] = self.dropped
+            record = {**record, "dropped": self.dropped}
         data = (json.dumps(record, separators=(",", ":"), default=str)
                 + "\n").encode()
         if len(data) > MAX_RECORD_BYTES:
             # Replace, don't split: a split record would tear the frame.
             marker = {
-                "v": RECORD_VERSION, "ev": ev, "pid": self.pid,
-                "t": record["t"], "truncated": True,
+                "v": RECORD_VERSION, "ev": record.get("ev"),
+                "pid": record.get("pid"), "t": record.get("t"),
+                "truncated": True,
             }
             if self.dropped:
                 marker["dropped"] = self.dropped
@@ -142,88 +124,43 @@ class _Emitter:
                 self.dropped += 1  # reader gone; stay silent forever
             return False
 
-    # -- heartbeat ------------------------------------------------------
 
-    def ensure_heartbeat(self) -> None:
-        if self.heartbeat <= 0 or self._hb_thread is not None:
-            return
-        self._hb_thread = threading.Thread(
-            target=self._heartbeat_loop, name="repro-bus-heartbeat",
-            daemon=True,
-        )
-        self._hb_thread.start()
+class _Heartbeat:
+    """Liveness ticker of one process: while a cone this process started
+    is in flight, emit a ``heartbeat`` event every ``interval`` seconds,
+    so liveness shows even inside an opaque symbolic step.  A heartbeat
+    and the ``cone.end`` that stops it take one lock, so a worker never
+    sends a heartbeat for a cone after that cone's end."""
 
-    def _heartbeat_loop(self) -> None:
-        while not self._hb_stop.wait(self.heartbeat):
-            sink = self.current_sink
-            if sink is not None:
-                self.emit("heartbeat", sink=sink)
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+        self.sink: Optional[str] = None
+        self._lock = threading.RLock()
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def observe(self, record: dict[str, Any]) -> None:
+        ev = record["ev"]
+        if ev == "cone.start":
+            with self._lock:
+                self.sink = record.get("sink")
+            if self.interval > 0 and self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="repro-bus-heartbeat", daemon=True
+                )
+                self._thread.start()
+        elif ev == "cone.end":
+            with self._lock:
+                self.sink = None
+
+    def _loop(self) -> None:
+        while not self._stop.wait(self.interval):
+            with self._lock:
+                if self.sink is not None:
+                    _event("heartbeat", sink=self.sink)
 
     def stop(self) -> None:
-        self._hb_stop.set()
-
-
-def _current_emitter() -> Optional[_Emitter]:
-    """The process-local emitter, rebuilt after a fork (a forked child
-    inherits the parent's fd and meta but not its threads or lock
-    state, so the object itself must be fresh)."""
-    global _emitter
-    fd = _WORKER_FD
-    if fd is None:
-        return None
-    emitter = _emitter
-    if emitter is None or emitter.pid != os.getpid() or emitter.fd != fd:
-        emitter = _emitter = _Emitter(fd, _WORKER_META, _WORKER_HEARTBEAT)
-    return emitter
-
-
-def emit(ev: str, **fields: Any) -> bool:
-    """Send one event record (no-op returning False when no bus is
-    attached).  Safe to call from any process/thread."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return False
-    return emitter.emit(ev, **fields)
-
-
-def cone_started(sink: str, **fields: Any) -> None:
-    """Worker hook: a cone's rebuild just began.  Starts the heartbeat
-    thread so liveness is visible even inside an opaque symbolic step."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    emitter.current_sink = sink
-    emitter.ensure_heartbeat()
-    emitter.emit("cone.start", sink=sink, **fields)
-
-
-def cone_progress(sink: str, phase: str, dur: float) -> None:
-    """Worker hook: one internal phase (collapse/decompose/instantiate)
-    of the in-flight cone completed."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    emitter.emit("cone.progress", sink=sink, phase=phase,
-                 dur=round(dur, 6))
-
-
-def cone_finished(sink: str, action: str, **fields: Any) -> None:
-    """Worker hook: the cone delivered (any action).  Emits a
-    ``cone.degrade`` first when the worker degraded itself."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    if action == "copied":
-        emitter.emit("cone.degrade", sink=sink,
-                     reason=fields.get("degrade_reason"))
-    emitter.current_sink = None
-    emitter.emit("cone.end", sink=sink, action=action, **fields)
-
-
-def worker_dropped() -> int:
-    """Cumulative drop count of this process's emitter (0 without one)."""
-    emitter = _emitter
-    return emitter.dropped if emitter is not None else 0
+        self._stop.set()
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +169,14 @@ def worker_dropped() -> int:
 
 
 class TelemetryBus:
-    """Parent-side transport + aggregate of the worker event stream.
+    """Parent-side transport + aggregate of the event stream.
 
-    Construct in the parent (``run_id`` stamps every record), then wrap
-    pool execution in :meth:`attached` so forked workers inherit the
-    write end.  A daemon reader thread ingests records as they arrive;
-    :meth:`snapshot` / :meth:`worker_summary` expose the aggregate to
-    the monitor and the OpenMetrics exporter.  :meth:`close` detaches,
-    drains, and releases both pipe ends.
+    Construct in the parent and :func:`activate` it before the worker
+    pool forks.  A daemon reader thread passes worker records through
+    the parent's event fan-out as they arrive; the bus's own sink keeps
+    the aggregate that :meth:`snapshot` / :meth:`worker_summary` expose
+    to the monitor and the OpenMetrics exporter.  :meth:`close`
+    deactivates, drains, and releases both pipe ends.
     """
 
     def __init__(
@@ -248,22 +185,25 @@ class TelemetryBus:
         shard: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT,
         stall_after: float = DEFAULT_STALL_AFTER,
-        max_recent: int = 256,
     ) -> None:
         self.run_id = run_id
         self.shard = shard
         self.heartbeat_interval = heartbeat_interval
         self.stall_after = stall_after
+        self.pid = os.getpid()
         self._read_fd, self._write_fd = os.pipe()
         # Non-blocking sends are what makes the queue bounded: a full
         # kernel buffer drops (counted) instead of stalling a worker.
         os.set_blocking(self._write_fd, False)
         self._lock = threading.Lock()
         self._closed = False
+        self._heartbeat = _Heartbeat(heartbeat_interval)
+        self._synced = threading.Condition()
+        self._sync_sent = 0
+        self._sync_seen = 0
         self.started_at = time.time()
         self.workers: dict[int, dict[str, Any]] = {}
         self.counts: dict[str, int] = {}
-        self.recent: deque[dict[str, Any]] = deque(maxlen=max_recent)
         #: Lines that failed to parse (torn/corrupt) — reader-side drops.
         self.parse_errors = 0
         #: Per-pid cumulative drop counts reported by emitters.
@@ -275,22 +215,15 @@ class TelemetryBus:
         )
         self._reader.start()
 
-    # -- attach/detach --------------------------------------------------
-
     def meta(self) -> dict[str, Any]:
+        """The ``run``/``shard`` fields records carry while this bus is
+        active."""
         fields: dict[str, Any] = {}
         if self.run_id is not None:
             fields["run"] = self.run_id
         if self.shard is not None:
             fields["shard"] = self.shard
         return fields
-
-    def attached(self) -> "_Attachment":
-        """Context manager installing this bus as the process's emit
-        target.  Enter *before* creating a fork pool so children inherit
-        the write fd and meta; the previous target is restored on exit
-        (attachments nest)."""
-        return _Attachment(self)
 
     def set_expected_costs(self, costs: dict[str, float]) -> None:
         """Per-sink predicted seconds from the ledger cost model; used
@@ -326,35 +259,58 @@ class TelemetryBus:
     def _ingest(self, line: bytes) -> None:
         if not line.strip():
             return
+        if line.startswith(_SYNC):
+            with self._synced:
+                self._sync_seen = int(line[len(_SYNC):])
+                self._synced.notify_all()
+            return
         try:
             record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
+            if not isinstance(record, dict) or "ev" not in record:
+                raise ValueError("not an event record")
         except (ValueError, UnicodeDecodeError):
             with self._lock:
                 self.parse_errors += 1
             return
-        self._aggregate(record, received=time.time())
-        self._mirror_to_log(record)
+        dispatch(record)
 
-    def record_local(self, ev: str, **fields: Any) -> None:
-        """Fold a parent-side event (merge progress, dispatch) into the
-        aggregate without a pipe round trip."""
-        record = {"v": RECORD_VERSION, "ev": ev, "pid": os.getpid(),
-                  "t": time.time()}
-        record.update(self.meta())
-        record.update(fields)
-        self._aggregate(record, received=record["t"], local=True)
-        self._mirror_to_log(record)
+    def sync(self, timeout: float = 2.0) -> bool:
+        """Wait until the reader has passed on every record already in
+        the pipe: a marker line goes in behind them and the reader
+        reports reaching it.  The parallel pass calls this once its
+        workers are done, so the parent's sinks hold every worker
+        record before the pass ends.  False on timeout."""
+        with self._synced:
+            self._sync_sent += 1
+            token = self._sync_sent
+        data = _SYNC + b"%d\n" % token
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                os.write(self._write_fd, data)
+                break
+            except BlockingIOError:
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.001)
+            except OSError:
+                return False
+        with self._synced:
+            return self._synced.wait_for(
+                lambda: self._sync_seen >= token,
+                max(0.0, deadline - time.monotonic()),
+            )
 
-    def _aggregate(
-        self, record: dict[str, Any], received: float, local: bool = False
-    ) -> None:
+    def observe(self, record: dict[str, Any]) -> None:
+        """The bus's event sink in the parent: count the record and move
+        its worker's row."""
         ev = str(record.get("ev") or "unknown")
         pid = record.get("pid")
+        if pid == self.pid:
+            self._heartbeat.observe(record)  # cones run inline (workers=1)
+        received = time.time()
         with self._lock:
             self.counts[ev] = self.counts.get(ev, 0) + 1
-            self.recent.append(record)
             if not isinstance(pid, int):
                 return
             reported = record.get("dropped")
@@ -362,7 +318,7 @@ class TelemetryBus:
                 previous = self._reported_drops.get(pid, 0)
                 if reported > previous:
                     self._reported_drops[pid] = int(reported)
-            if local:
+            if ev not in WORKER_EVENTS:
                 return
             worker = self.workers.setdefault(
                 pid,
@@ -389,21 +345,6 @@ class TelemetryBus:
                 worker["last_action"] = record.get("action")
             elif ev == "cone.degrade":
                 worker["degraded"] = worker.get("degraded", 0) + 1
-
-    def _mirror_to_log(self, record: dict[str, Any]) -> None:
-        """Mirror the event into the structured logger when one is
-        installed (sys.modules lookup — no import on the off path)."""
-        log_mod = sys.modules.get("repro.obs.logging")
-        if log_mod is None:
-            return
-        try:
-            fields = {
-                k: v for k, v in record.items()
-                if k not in ("v", "ev", "t")
-            }
-            log_mod.log_event("debug", f"bus.{record.get('ev')}", **fields)
-        except Exception:
-            pass
 
     # -- aggregate views ------------------------------------------------
 
@@ -478,10 +419,9 @@ class TelemetryBus:
 
     def snapshot(self, recent: int = 16) -> dict[str, Any]:
         """JSON-safe aggregate: event counts, drop accounting, per-worker
-        rows, and the ``recent`` newest raw records."""
+        rows, and the ``recent`` newest records of the report's ring."""
         with self._lock:
             counts = dict(self.counts)
-            tail = list(self.recent)[-recent:] if recent else []
             parse_errors = self.parse_errors
             reported = sum(self._reported_drops.values())
         return {
@@ -492,13 +432,13 @@ class TelemetryBus:
             "events_dropped": parse_errors + reported,
             "parse_errors": parse_errors,
             "workers": self.worker_summary(),
-            "recent": tail,
+            "recent": registry().recent_events(recent),
         }
 
     # -- teardown -------------------------------------------------------
 
     def close(self, drain_timeout: float = 2.0) -> None:
-        """Detach (if attached), close the parent's write end, wait for
+        """Deactivate (if active), close the parent's write end, wait for
         the reader to drain to EOF, and release the read end.  EOF
         arrives once every child holding an inherited write fd has
         exited — the scheduler reaps its pools before the CLI closes the
@@ -506,9 +446,9 @@ class TelemetryBus:
         if self._closed:
             return
         self._closed = True
-        global _WORKER_FD
-        if _WORKER_FD == self._write_fd:
-            _detach()
+        if _active_bus is self:
+            deactivate()
+        self._heartbeat.stop()
         try:
             os.close(self._write_fd)
         except OSError:
@@ -527,64 +467,57 @@ class TelemetryBus:
         return False
 
 
-class _Attachment:
-    """Installs a bus's write end as the process emit target for a
-    ``with`` block (restoring the previous target on exit)."""
-
-    def __init__(self, bus: TelemetryBus) -> None:
-        self.bus = bus
-        self._previous: Optional[tuple[int, dict[str, Any], float]] = None
-
-    def __enter__(self) -> TelemetryBus:
-        global _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT, _emitter
-        self._previous = (_WORKER_FD, dict(_WORKER_META), _WORKER_HEARTBEAT)
-        _WORKER_FD = self.bus._write_fd
-        _WORKER_META = self.bus.meta()
-        _WORKER_HEARTBEAT = self.bus.heartbeat_interval
-        _emitter = None
-        return self.bus
-
-    def __exit__(self, *exc: object) -> bool:
-        global _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT, _emitter
-        emitter = _emitter
-        if emitter is not None:
-            emitter.stop()
-        fd, meta, heartbeat = self._previous
-        _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT = fd, meta, heartbeat
-        _emitter = None
-        return False
-
-
-def _detach() -> None:
-    """Clear the process emit target (used by ``TelemetryBus.close``)."""
-    global _WORKER_FD, _WORKER_META, _emitter
-    emitter = _emitter
-    if emitter is not None:
-        emitter.stop()
-    _WORKER_FD = None
-    _WORKER_META = {}
-    _emitter = None
-
-
 # ---------------------------------------------------------------------------
-# Active-bus registry (the ledger idiom: reached via sys.modules only)
+# The active bus (the ledger idiom: engine layers reach it via sys.modules)
 # ---------------------------------------------------------------------------
 
 _active_bus: Optional[TelemetryBus] = None
 
 
 def activate(bus: TelemetryBus) -> None:
-    """Make ``bus`` the process-wide active bus (engine layers find it
-    through ``sys.modules.get("repro.obs.bus").active()``)."""
+    """Make ``bus`` the process-wide active bus: its sink joins the
+    event fan-out, records carry its ``run``/``shard``, and workers
+    forked from now on send their records down its pipe (engine layers
+    find it through ``sys.modules.get("repro.obs.bus").active()``)."""
     global _active_bus
+    if _active_bus is not None:
+        deactivate()
     _active_bus = bus
+    stamp(**bus.meta())
+    add_sink(bus.observe)
 
 
 def deactivate() -> None:
     global _active_bus
+    bus = _active_bus
+    if bus is None:
+        return
     _active_bus = None
+    remove_sink(bus.observe)
+    stamp(**dict.fromkeys(bus.meta()))
+    bus._heartbeat.stop()
+    bus._heartbeat = _Heartbeat(bus.heartbeat_interval)
 
 
 def active() -> Optional[TelemetryBus]:
     """The active bus, or ``None``."""
     return _active_bus
+
+
+def _after_fork_in_child() -> None:
+    """A worker forked while a bus is active: every record it builds
+    goes down the pipe, and nowhere else."""
+    bus = _active_bus
+    if bus is None:
+        return
+    emitter = _Emitter(bus._write_fd)
+    heartbeat = _Heartbeat(bus.heartbeat_interval)
+
+    def send(record: dict[str, Any]) -> None:
+        heartbeat.observe(record)
+        emitter.write(record)
+
+    forward_to(send)
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)

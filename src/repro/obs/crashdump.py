@@ -5,9 +5,10 @@ symbolic step.  :func:`write_crash_bundle` snapshots the run's state
 into one JSON file *before* the exception propagates: the exception and
 formatted traceback, the full obs report (spans, counters, events — the
 ``governor.exhausted`` and ``pipeline.pass`` events make degraded runs
-attributable), the tail of the installed trace recorder's ring buffer,
-per-manager BDD statistics, and whatever *crash context* the engine
-registered on the way down (the live pass, the latest checkpoint path).
+attributable), the newest event records, the tail of the installed trace
+recorder's ring buffer, per-manager BDD statistics, and whatever *crash
+context* the engine registered on the way down (the live pass, the
+latest checkpoint path).
 
 The engine layers call :func:`set_crash_context` at cheap, meaningful
 moments (pass start, checkpoint write); the CLI's top-level handler
@@ -35,6 +36,9 @@ BUNDLE_VERSION = 1
 
 #: Default number of trailing trace records embedded in a bundle.
 TRACE_TAIL = 500
+
+#: Number of trailing event records embedded as ``log_tail``.
+LOG_TAIL = 50
 
 _context_lock = threading.Lock()
 _crash_context: dict[str, Any] = {}
@@ -146,16 +150,11 @@ def build_crash_bundle(
             info = None
         if info:
             bundle["ledger"] = info
-    # Structured-log tail (same sys.modules idiom): the run's last words
-    # in wall-clock order, even when the log file itself is unavailable.
-    log_mod = sys.modules.get("repro.obs.logging")
-    if log_mod is not None:
-        try:
-            tail = log_mod.active_tail()
-        except Exception:  # pragma: no cover - defensive
-            tail = []
-        if tail:
-            bundle["log_tail"] = tail
+    # The run's last words: the newest event records of the report's
+    # ring — the same records the run log's last lines hold.
+    tail = _global_registry().recent_events(LOG_TAIL)
+    if tail:
+        bundle["log_tail"] = tail
     if extra:
         bundle["extra"] = dict(extra)
     return bundle

@@ -48,6 +48,8 @@ import uuid
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
+from repro.obs.registry import add_sink, remove_sink
+
 SCHEMA_VERSION = 1
 
 #: How long a writer waits on a locked database before failing (seconds).
@@ -602,15 +604,18 @@ _active: Optional[tuple[RunLedger, str]] = None
 
 
 def activate(ledger: RunLedger, run_id: str) -> None:
-    """Mark ``run_id`` in ``ledger`` as the process's active run."""
+    """Mark ``run_id`` in ``ledger`` as the process's active run; its
+    pass rows come from the ``pipeline.pass`` event records."""
     global _active
     _active = (ledger, run_id)
+    add_sink(_pass_sink)
 
 
 def deactivate() -> None:
     """Clear the active run (the ledger object is *not* closed)."""
     global _active
     _active = None
+    remove_sink(_pass_sink)
 
 
 def active_run() -> Optional[tuple[RunLedger, str]]:
@@ -639,20 +644,21 @@ def _swallow(fn, *args: Any, **kwargs: Any) -> None:
             _obs.inc("ledger.errors")
 
 
-def record_pass_active(
-    index: int,
-    name: str,
-    elapsed: Optional[float],
-    exhausted: bool = False,
-    metrics: Optional[dict[str, Any]] = None,
-) -> None:
-    """Append a pass row to the active run (no-op when none)."""
-    if _active is None:
+def _pass_sink(record: dict[str, Any]) -> None:
+    """The ledger's event sink: a pass row per ``pipeline.pass`` record,
+    appended at the boundary so a crashed run still shows how far it
+    got."""
+    if record["ev"] != "pipeline.pass" or _active is None:
         return
     ledger, run_id = _active
+    metrics = {
+        k: v for k, v in record.items()
+        if k.startswith(("nodes", "literals", "latches"))
+    }
     _swallow(
-        ledger.record_pass, run_id, index, name, elapsed, exhausted,
-        metrics=metrics,
+        ledger.record_pass, run_id, record["index"], record["pass_name"],
+        record["elapsed"], record.get("exhausted", False),
+        metrics=metrics or None,
     )
 
 

@@ -1,184 +1,92 @@
 """Structured JSONL run log (``--log-json PATH``).
 
-One JSON object per line, leveled and run/cone-correlated: every record
-carries ``t`` (unix time), ``level``, ``event``, ``pid``, the run id the
-logger was installed with, and whatever keyword fields the call site
-adds (``sink``, ``pass``, ...).  Three consumers:
+The log is a stdlib :class:`logging.Handler` on the ``repro`` logger,
+fed by an obs event sink: every record :func:`repro.obs.event` builds
+(and every worker record the telemetry bus passes on) becomes one
+``logging`` record, and :class:`JsonFormatter` writes it back out as the
+event record's own JSON — one object per line, the same fields the
+report ring and the trace hold (``v``, ``ev``, ``t``, ``pid``, ``run``
+when stamped, then the event's fields).  Greppable, ``jq``-able,
+append-only.
 
-* the file itself — greppable, ``jq``-able, append-only;
-* a bounded in-memory tail that :mod:`repro.obs.crashdump` embeds in
-  crash bundles, so a post-mortem shows the run's last words even when
-  the log file is unavailable;
-* the telemetry bus mirrors its records here (at ``debug``), so one
-  file interleaves pass boundaries, cone lifecycle, and worker events
-  in wall-clock order.
-
-The module-level ``install``/``log_event``/``active_tail`` API follows
-the ledger idiom: engine layers reach it only through
-``sys.modules.get("repro.obs.logging")`` and the CLI is the sole
-importer, so a run without ``--log-json`` never loads this module.
-(The absolute-import policy means this name never shadows the stdlib
-``logging`` either.)
+Writing never raises into the host run: an unwritable path is counted
+in :attr:`JsonlHandler.write_errors` and the run goes on.  The CLI is
+the sole importer, so a run without ``--log-json`` never loads this
+module.  (The absolute-import policy means this name never shadows the
+stdlib ``logging`` either.)
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-import time
-from collections import deque
+import logging
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
-LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
+from repro.obs.registry import add_sink, remove_sink
 
-#: Records kept for crash bundles (see :func:`active_tail`).
-DEFAULT_TAIL = 200
+#: The logger every event is logged on.
+logger = logging.getLogger("repro")
 
 
-class StructuredLogger:
-    """Append-only JSONL writer with a bounded in-memory tail.
+class JsonFormatter(logging.Formatter):
+    """Formats a log record as one JSON line: the obs event record it
+    carries."""
 
-    ``level`` is the *threshold*: records below it are discarded (the
-    default ``debug`` keeps everything, including the bus mirror).
-    Writing never raises into the host run — an unwritable path
-    degrades to tail-only operation, counted in :attr:`write_errors`.
-    """
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps(record.obs_record, separators=(",", ":"), default=str)
 
-    def __init__(
-        self,
-        path: Optional[str | Path] = None,
-        level: str = "debug",
-        run_id: Optional[str] = None,
-        tail: int = DEFAULT_TAIL,
-    ) -> None:
-        if level not in LEVELS:
-            raise ValueError(
-                f"unknown log level {level!r} (choose from {sorted(LEVELS)})"
-            )
-        self.path = Path(path) if path else None
-        self.level = level
-        self.threshold = LEVELS[level]
-        self.run_id = run_id
+
+class JsonlHandler(logging.FileHandler):
+    """Appends JSON lines to ``path``, counting what it wrote and what
+    failed to write instead of raising."""
+
+    def __init__(self, path: str | Path) -> None:
+        path = Path(path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass  # the first write fails and is counted
+        super().__init__(path, mode="a", encoding="utf-8", delay=True)
+        self.setFormatter(JsonFormatter())
         self.records_written = 0
         self.write_errors = 0
-        self.tail: deque[dict[str, Any]] = deque(maxlen=tail)
-        self._lock = threading.Lock()
-        self._handle = None
-        if self.path is not None:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", buffering=1)
-            except OSError:
-                self._handle = None
-                self.write_errors += 1
 
-    def log(self, level: str, event: str, **fields: Any) -> bool:
-        """Record one event; returns False when filtered or unwritten."""
-        severity = LEVELS.get(level)
-        if severity is None or severity < self.threshold:
-            return False
-        record: dict[str, Any] = {
-            "t": time.time(),
-            "level": level,
-            "event": event,
-            "pid": os.getpid(),
-        }
-        if self.run_id is not None:
-            record["run"] = self.run_id
-        record.update(fields)
-        line = json.dumps(record, separators=(",", ":"), default=str)
-        with self._lock:
-            self.tail.append(record)
-            if self._handle is not None:
-                try:
-                    self._handle.write(line + "\n")
-                    self.records_written += 1
-                except (OSError, ValueError):
-                    self.write_errors += 1
-            return True
+    def emit(self, record: logging.LogRecord) -> None:
+        errors = self.write_errors
+        try:
+            if self.stream is None:
+                self.stream = self._open()
+        except OSError:
+            self.handleError(record)
+            return
+        logging.StreamHandler.emit(self, record)  # failures: handleError
+        if self.write_errors == errors:
+            self.records_written += 1
 
-    def debug(self, event: str, **fields: Any) -> bool:
-        return self.log("debug", event, **fields)
-
-    def info(self, event: str, **fields: Any) -> bool:
-        return self.log("info", event, **fields)
-
-    def warning(self, event: str, **fields: Any) -> bool:
-        return self.log("warning", event, **fields)
-
-    def error(self, event: str, **fields: Any) -> bool:
-        return self.log("error", event, **fields)
-
-    def tail_records(self, limit: Optional[int] = None) -> list[dict[str, Any]]:
-        """The newest retained records, oldest first."""
-        with self._lock:
-            records = list(self.tail)
-        if limit is not None:
-            records = records[-limit:]
-        return records
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-    def __enter__(self) -> "StructuredLogger":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self.close()
-        return False
+    def handleError(self, record: logging.LogRecord) -> None:
+        self.write_errors += 1
 
 
-# ---------------------------------------------------------------------------
-# Active-logger registry (reached via sys.modules only; CLI installs it)
-# ---------------------------------------------------------------------------
-
-_active: Optional[StructuredLogger] = None
+def _log_sink(record: dict[str, Any]) -> None:
+    logger.info(record["ev"], extra={"obs_record": record})
 
 
-def install(logger: StructuredLogger) -> None:
-    """Make ``logger`` the process-wide log sink."""
-    global _active
-    _active = logger
+def install(path: str | Path) -> JsonlHandler:
+    """Start logging every event record to ``path``; returns the
+    handler to pass to :func:`uninstall`."""
+    handler = JsonlHandler(path)
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    add_sink(_log_sink)
+    return handler
 
 
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-def active() -> Optional[StructuredLogger]:
-    """The installed logger, or ``None``."""
-    return _active
-
-
-def log_event(level: str, event: str, **fields: Any) -> bool:
-    """Log through the installed logger (no-op returning False when
-    none is installed).  This is the call every other obs module makes
-    after a successful ``sys.modules.get("repro.obs.logging")``."""
-    logger = _active
-    if logger is None:
-        return False
-    try:
-        return logger.log(level, event, **fields)
-    except Exception:
-        return False
-
-
-def active_tail(limit: int = 50) -> list[dict[str, Any]]:
-    """Tail of the installed logger (empty without one) — what the
-    crash-bundle builder embeds."""
-    logger = _active
-    if logger is None:
-        return []
-    try:
-        return logger.tail_records(limit)
-    except Exception:
-        return []
+def uninstall(handler: JsonlHandler) -> None:
+    """Detach and close ``handler``; the event sink goes with the last
+    JSONL handler."""
+    logger.removeHandler(handler)
+    handler.close()
+    if not any(isinstance(h, JsonlHandler) for h in logger.handlers):
+        remove_sink(_log_sink)
+        logger.setLevel(logging.NOTSET)

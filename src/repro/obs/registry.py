@@ -1,5 +1,5 @@
 """Process-wide observability registry: counters, gauges, histograms and
-nestable timed spans.
+nestable timed spans, and the one event path.
 
 The registry is **disabled by default** and designed so that instrumented
 code pays near-zero cost when it stays disabled: every public recording
@@ -16,16 +16,29 @@ subsystem at a time.  Span timings are keyed by the full nesting path
 (``algorithm1.run/reach.fixpoint``), giving a phase-scoped profile; the
 span stack is thread-local so concurrent workers do not corrupt each
 other's paths.
+
+:func:`event` is the only way an event is emitted.  It builds one
+record (:data:`RECORD_VERSION`: ``v``, ``ev``, ``t`` unix time, ``pid``,
+the fields set by :func:`stamp`, then the call's fields) and hands that
+same dict to every sink.  While collection is enabled the sinks start
+with the report's record ring and the installed trace recorder; the
+run log, the run ledger and the telemetry bus add themselves with
+:func:`add_sink`.  With no sink installed :func:`event` returns after
+one check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 import weakref
 from collections import deque
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
+
+#: Schema version of the event record :func:`event` builds.
+RECORD_VERSION = 1
 
 #: Maximum number of retained events (oldest are dropped first).
 MAX_EVENTS = 1024
@@ -37,11 +50,71 @@ _enabled = False
 #: ``trace``) so the span fast path needs no cross-module import.
 _tracer = None
 
+Sink = Callable[[dict], None]
+
+#: Sinks added with :func:`add_sink` (run log, ledger, bus), in order.
+_external: tuple[Sink, ...] = ()
+#: In a forked worker attached to a bus: the one sink that forwards
+#: every record to the parent (see :func:`forward_to`).
+_forward: Optional[Sink] = None
+#: What :func:`event` hands each record to; empty means events are off.
+_sinks: tuple[Sink, ...] = ()
+#: Fields carried by every record (``run``/``shard``; see :func:`stamp`).
+_stamp: dict[str, Any] = {}
+
+
+def _refresh_sinks() -> None:
+    global _sinks
+    if _forward is not None:
+        _sinks = (_forward,)
+        return
+    local: tuple[Sink, ...] = ()
+    if _enabled:
+        local = (_REGISTRY.append_event,)
+        if _tracer is not None:
+            local += (_tracer.event,)
+    _sinks = local + _external
+
 
 def set_tracer(recorder) -> None:
     """Install (or with ``None``, remove) the process-wide trace sink."""
     global _tracer
     _tracer = recorder
+    _refresh_sinks()
+
+
+def add_sink(sink: Sink) -> None:
+    """Hand every later event record to ``sink`` as well (no-op when
+    already installed)."""
+    global _external
+    if sink not in _external:
+        _external = _external + (sink,)
+        _refresh_sinks()
+
+
+def remove_sink(sink: Sink) -> None:
+    """Stop handing records to ``sink``."""
+    global _external
+    _external = tuple(s for s in _external if s != sink)
+    _refresh_sinks()
+
+
+def forward_to(sink: Sink) -> None:
+    """Make ``sink`` this (forked worker) process's only sink: its
+    records belong to the parent's sinks.  It also replaces the lock
+    the fork may have copied held and drops the copied trace buffer."""
+    global _forward, _tracer
+    _REGISTRY._lock = threading.Lock()
+    _forward = sink
+    _tracer = None
+    _refresh_sinks()
+
+
+def stamp(**fields: Any) -> None:
+    """Set the fields every later record carries (``None`` removes one)."""
+    global _stamp
+    merged = {**_stamp, **fields}
+    _stamp = {k: v for k, v in merged.items() if v is not None}
 
 
 def tracer():
@@ -63,6 +136,7 @@ def enable() -> None:
     """
     global _enabled
     _enabled = True
+    _refresh_sinks()
 
 
 def disable() -> None:
@@ -70,6 +144,7 @@ def disable() -> None:
     :func:`reset`."""
     global _enabled
     _enabled = False
+    _refresh_sinks()
 
 
 class scope:
@@ -89,11 +164,13 @@ class scope:
         global _enabled
         self._previous = _enabled
         _enabled = self._on
+        _refresh_sinks()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         global _enabled
         _enabled = self._previous
+        _refresh_sinks()
         return False
 
 
@@ -180,7 +257,6 @@ class Registry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self._epoch = time.perf_counter()
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
@@ -237,16 +313,20 @@ class Registry:
                 stat = self.spans[path] = SpanStat()
             stat.record(elapsed)
 
-    def event(self, name: str, **fields: Any) -> None:
-        entry = {"name": name, "t": round(time.perf_counter() - self._epoch, 6)}
-        entry.update(fields)
+    def append_event(self, record: dict[str, Any]) -> None:
+        """The record-ring sink: keep ``record``, counting what the
+        bounded ring displaces."""
         with self._lock:
             if len(self.events) == self.events.maxlen:
                 self.events_dropped += 1
-            self.events.append(entry)
-        recorder = _tracer
-        if recorder is not None:
-            recorder.instant(name, fields or None)
+            self.events.append(record)
+
+    def recent_events(self, limit: int) -> list[dict[str, Any]]:
+        """The newest ``limit`` records of the ring, oldest first."""
+        if limit <= 0:
+            return []
+        with self._lock:
+            return list(self.events)[-limit:]
 
     # -- span stack -----------------------------------------------------
 
@@ -410,7 +490,6 @@ class Registry:
             self._bdd_flushed.clear()
             self._bdd_total_managers = 0
             self._bdd_peak_nodes = 0
-            self._epoch = time.perf_counter()
 
 
 _REGISTRY = Registry()
@@ -509,10 +588,20 @@ def observe(name: str, value: float) -> None:
 
 
 def event(name: str, **fields: Any) -> None:
-    """Append a timestamped event (bounded buffer of :data:`MAX_EVENTS`)."""
-    if not _enabled:
+    """Build one record for event ``name`` and hand it to every sink."""
+    if not _sinks:
         return
-    _REGISTRY.event(name, **fields)
+    record = {"v": RECORD_VERSION, "ev": name, "t": time.time(), "pid": os.getpid()}
+    record.update(_stamp)
+    record.update(fields)
+    dispatch(record)
+
+
+def dispatch(record: dict[str, Any]) -> None:
+    """Hand an already-built record to every sink (the bus reader passes
+    worker records through here)."""
+    for sink in _sinks:
+        sink(record)
 
 
 def track_bdd_manager(manager: Any) -> None:

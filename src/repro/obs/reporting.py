@@ -73,14 +73,12 @@ def cache_efficiency(report: dict[str, Any]) -> dict[str, dict[str, float]]:
 
 
 def pipeline_passes(report: dict[str, Any]) -> list[dict[str, Any]]:
-    """The ``pipeline.pass`` events of a snapshot, in execution order —
-    one row per completed pass with its wall time and whether a resource
-    budget was exhausted at that boundary."""
-    return [
-        event
-        for event in report.get("events", [])
-        if event.get("name") == "pipeline.pass"
-    ]
+    """The pipeline's pass log (``SynthesisReport.passes``, which the
+    CLI puts under ``report["run"]["passes"]``): one row per completed
+    pass with its wall time, network sizes and whether a resource budget
+    was exhausted at that boundary.  Unlike the event ring it is never
+    truncated."""
+    return list((report.get("run") or {}).get("passes") or ())
 
 
 def _span_tree_rows(spans: dict[str, dict[str, Any]]) -> list[str]:
@@ -151,10 +149,10 @@ def render_profile(report: dict[str, Any]) -> str:
             header += f" {'nodes':>8} {'Δnodes':>8} {'lits':>8} {'Δlits':>8}"
         header += f" {'budget':>10}"
         lines.append(header)
-        for row in passes:
+        for index, row in enumerate(passes):
             status = "EXHAUSTED" if row.get("exhausted") else "ok"
             line = (
-                f"  {int(row['index']):>3} {row['pass_name']:<16} "
+                f"  {index:>3} {row['pass']:<16} "
                 f"{row['elapsed']:>11.3f}"
             )
             if with_sizes:

@@ -15,8 +15,9 @@ exportable as
   tooling (convert back with ``repro trace FILE --convert OUT``).
 
 Install a recorder with :func:`install` (or the :func:`tracing` context
-manager) and the registry's span/event machinery mirrors every span
-begin/end and obs event into it; the :class:`~repro.obs.monitor.
+manager) and, while obs is enabled, the registry mirrors every span
+begin/end into it and hands it every event record (written as an
+instant, :meth:`TraceRecorder.event`); the :class:`~repro.obs.monitor.
 RuntimeMonitor` feeds counter samples the same way.  Recording costs one
 lock acquisition per record and is completely off (a single ``None``
 check) when no recorder is installed.
@@ -41,6 +42,9 @@ from repro.obs.registry import tracer as _get_tracer
 
 #: Default ring-buffer capacity (records, oldest dropped first).
 DEFAULT_CAPACITY = 200_000
+
+#: Record fields an instant does not repeat in its ``args``.
+_ENVELOPE = ("v", "ev", "t", "pid")
 
 
 class TraceRecorder:
@@ -101,19 +105,28 @@ class TraceRecorder:
             }
         )
 
-    def instant(self, name: str, args: Optional[dict[str, Any]] = None) -> None:
-        """Record a point-in-time event (rendered as an arrow/marker)."""
-        record = {
+    def event(self, record: dict[str, Any]) -> None:
+        """The trace sink: write one obs event record as an instant.  A
+        record from another process (a parallel worker, passed on by the
+        bus) lands on that worker's ``tid = pid`` track at its wall-clock
+        time, next to the worker's spans."""
+        pid = record.get("pid")
+        if pid is None or pid == self.pid:
+            ts, tid = self.now_us(), threading.get_ident()
+        else:
+            ts, tid = max(0.0, (record["t"] - self._epoch_wall) * 1e6), pid
+        entry = {
             "ph": "i",
-            "ts": round(self.now_us(), 3),
+            "ts": round(ts, 3),
             "pid": self.pid,
-            "tid": threading.get_ident(),
-            "name": name,
+            "tid": tid,
+            "name": record["ev"],
             "s": "t",
         }
+        args = {k: v for k, v in record.items() if k not in _ENVELOPE}
         if args:
-            record["args"] = args
-        self._append(record)
+            entry["args"] = args
+        self._append(entry)
 
     def emit_external_span(
         self,

@@ -31,13 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 import traceback
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro import obs as _obs
 
 CONE_TASK_VERSION = 1
 
@@ -317,10 +318,6 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     started_wall = time.time()
     began = time.perf_counter()
     phases: list[dict[str, float]] = []
-    # Live telemetry is reached via sys.modules only: a run without the
-    # bus never imports it, and without an attached pipe every call below
-    # is a single None-check no-op.
-    bus_mod = sys.modules.get("repro.obs.bus")
 
     @contextmanager
     def phase(name: str) -> Iterator[None]:
@@ -330,8 +327,9 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
         finally:
             dur = time.perf_counter() - start
             phases.append({"name": name, "start": start - began, "dur": dur})
-            if bus_mod is not None:
-                bus_mod.cone_progress(task.sink, name, dur)
+            _obs.event(
+                "cone.progress", sink=task.sink, phase=name, dur=round(dur, 6)
+            )
 
     _apply_fault(task.fault)
     options = SynthesisOptions.from_dict(task.options)
@@ -341,8 +339,7 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     )
     slice_net = network_from_dict(task.slice)
     sink = task.sink
-    if bus_mod is not None:
-        bus_mod.cone_started(sink, cone_inputs=len(slice_net.inputs))
+    _obs.event("cone.start", sink=sink, cone_inputs=len(slice_net.inputs))
 
     signature: Optional[str] = None
     backend_name: Optional[str] = None
@@ -366,13 +363,17 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
             "nodes_allocated": governor.nodes_allocated(),
         }
         result.update(extra)
-        if bus_mod is not None:
-            bus_mod.cone_finished(
-                sink,
-                action,
-                elapsed=round(result["elapsed"], 6),
-                degrade_reason=result["degrade_reason"],
+        if action == "copied":
+            _obs.event(
+                "cone.degrade", sink=sink, reason=result["degrade_reason"]
             )
+        _obs.event(
+            "cone.end",
+            sink=sink,
+            action=action,
+            elapsed=round(result["elapsed"], 6),
+            degrade_reason=result["degrade_reason"],
+        )
         return result
 
     manager = governor.attach_manager(BDDManager())

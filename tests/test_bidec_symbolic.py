@@ -87,6 +87,23 @@ class TestOrSpace:
         assert and_space.gate == "and"
         assert and_space.bi_size == or_space.bi_size
 
+    def test_bi_size_walked_on_first_read_only(self, monkeypatch):
+        from repro.bdd import count
+
+        m = BDDManager(3)
+        f = m.apply_or(m.var(0), m.apply_and(m.var(1), m.var(2)))
+        walks = []
+        real = count.dag_size
+        monkeypatch.setattr(
+            count, "dag_size", lambda *a: walks.append(a) or real(*a)
+        )
+        space = or_partition_space(Interval.exact(m, f))
+        assert walks == []
+        size = space.bi_size
+        assert size == real(space.manager, space.bi)
+        assert space.bi_size == size
+        assert len(walks) == 1
+
     def test_nontrivial_excludes_full_support(self):
         m = BDDManager(2)
         f = m.apply_and(m.var(0), m.var(1))  # not OR-decomposable

@@ -254,3 +254,75 @@ class TestGenerate:
 
     def test_generate_unknown(self, tmp_path):
         assert main(["generate", "nope", "-o", str(tmp_path / "x.blif")]) == 1
+
+
+#: Malformed netlists, each as (BLIF text, .bench text, the 1-based line
+#: the diagnostic must name, a fragment of its message).
+MALFORMED = {
+    "undefined-fanin": (
+        ".model t\n.inputs a b\n.outputs z\n.names a c z\n11 1\n.end\n",
+        "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, c)\n",
+        4, "undefined fanin 'c' of 'z'",
+    ),
+    "arity": (
+        ".model t\n.inputs a b\n.outputs z\n.names a b z\n1 1\n.end\n",
+        "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NOT(a, b)\n",
+        4, "",
+    ),
+    "cycle": (
+        ".model t\n.inputs a\n.outputs z\n.names a y x\n11 1\n"
+        ".names x y\n0 1\n.names y z\n1 1\n.end\n",
+        "INPUT(a)\nOUTPUT(z)\n\nx = AND(a, y)\ny = NOT(x)\nz = BUFF(y)\n",
+        4, "combinational cycle through 'x'",
+    ),
+    "duplicate": (
+        ".model t\n.inputs a b\n.outputs z\n.names a z\n1 1\n"
+        ".names b z\n1 1\n.end\n",
+        "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n\nz = NOT(a)\nz = BUFF(b)\n",
+        6, "signal 'z' already defined",
+    ),
+}
+
+
+class TestMalformedInput:
+    """A malformed netlist ends the run with one ``path:line`` line on
+    stderr and exit code 1: no traceback and no crash bundle, even on an
+    instrumented run that would write one for a crash."""
+
+    @pytest.mark.parametrize("suffix", [".blif", ".bench"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_clean_diagnostic(self, case, suffix, tmp_path, monkeypatch, capsys):
+        blif, bench, line, fragment = MALFORMED[case]
+        path = tmp_path / f"{case}{suffix}"
+        path.write_text(blif if suffix == ".blif" else bench)
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "optimize", str(path), "-o", str(tmp_path / "out.blif"),
+            "--stats-json", str(tmp_path / "stats.json"),
+            "--trace", str(tmp_path / "run.trace"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        (message,) = captured.err.splitlines()
+        assert message.startswith(f"error: {path}:{line}: ")
+        assert fragment in message
+        assert "Traceback" not in captured.err + captured.out
+        assert not list(tmp_path.glob("repro_crash_*"))
+        assert not (tmp_path / "out.blif").exists()
+
+    def test_profile_leaves_instrumentation_off(self, tmp_path, capsys):
+        from repro import obs
+
+        path = tmp_path / "cycle.blif"
+        path.write_text(MALFORMED["cycle"][0])
+        assert main(["profile", str(path)]) == 1
+        assert f"{path}:4: " in capsys.readouterr().err
+        assert not obs.enabled()
+
+    def test_reader_error_is_a_value_error(self):
+        from repro.network import NetlistError
+
+        blif = MALFORMED["cycle"][0]
+        with pytest.raises(NetlistError, match=r"^<blif>:4: ") as info:
+            parse_blif(blif)
+        assert isinstance(info.value, ValueError)

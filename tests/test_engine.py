@@ -223,16 +223,19 @@ class TestPipeline:
         net = small_circuit()
         obs.reset()
         with obs.scope():
-            algorithm1(net, SynthesisOptions(max_partition_size=8))
+            report = algorithm1(net, SynthesisOptions(max_partition_size=8))
             snapshot = obs.report()
         obs.reset()
         rows = [e for e in snapshot["events"]
-                if e["name"] == "pipeline.pass"]
+                if e["ev"] == "pipeline.pass"]
         assert [r["pass_name"] for r in rows] == [
             "cleanup", "dontcares", "decompose", "finalize",
             "sweep", "strash", "sweep",
         ]
         assert snapshot["counters"]["pipeline.passes"] == 7
+        # The profile's pass table reads the pass log the CLI puts
+        # under "run".
+        snapshot["run"] = {"passes": report.passes}
         rendered = obs.render_profile(snapshot)
         assert "pipeline passes" in rendered
 

@@ -168,6 +168,17 @@ class TestGuideSnippets:
         assert f
         obs.reset()
 
+    def test_event_record_snippet(self):
+        from repro import obs
+
+        obs.reset()
+        with obs.scope():
+            obs.event("netlist.loaded", gates=120)
+        record = obs.report()["events"][-1]
+        assert record["ev"] == "netlist.loaded" and record["v"] == 1
+        assert record["gates"] == 120
+        obs.reset()
+
     def test_run_ledger_snippet(self, tmp_path):
         from repro.benchgen import iscas_analog
         from repro.obs import ledger as obs_ledger

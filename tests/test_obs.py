@@ -70,9 +70,36 @@ class TestRegistryBasics:
             obs.event("fam.tick", index=index)
         events = obs.report()["events"]
         assert len(events) == 5
-        assert events[0]["name"] == "fam.tick"
+        assert events[0]["ev"] == "fam.tick"
         assert events[0]["index"] == 0
         assert all("t" in event for event in events)
+
+    def test_event_sinks_follow_the_switches(self):
+        """Off means no sink: :func:`obs.event` returns after one check.
+        Enabling adds the record ring; an installed tracer adds the trace
+        sink; both go again on disable."""
+        import importlib
+
+        from repro.obs import trace as obs_trace
+
+        registry_mod = importlib.import_module("repro.obs.registry")
+        assert registry_mod._sinks == ()
+        obs.event("dropped.on.the.floor")
+        obs.enable()
+        assert registry_mod._sinks == (obs.registry().append_event,)
+        recorder = obs_trace.install()
+        try:
+            assert registry_mod._sinks == (
+                obs.registry().append_event, recorder.event,
+            )
+            obs.event("seen", n=1)
+        finally:
+            obs_trace.uninstall()
+        obs.disable()
+        assert registry_mod._sinks == ()
+        (record,) = obs.report()["events"]
+        assert record["ev"] == "seen" and record["v"] == 1
+        assert [r["name"] for r in recorder.records()] == ["seen"]
 
     def test_enable_disable_scope(self):
         assert not obs.enabled()
@@ -260,7 +287,7 @@ class TestBddManagerTracking:
         events = [
             event
             for event in obs.report()["events"]
-            if event["name"] == "bdd.clear_caches"
+            if event["ev"] == "bdd.clear_caches"
         ]
         assert events and events[0]["evicted"] == evicted
         counters = obs.report()["counters"]
@@ -331,7 +358,7 @@ class TestLayerInstrumentation:
         actions = [
             event["action"]
             for event in report["events"]
-            if event["name"] == "algorithm1.signal"
+            if event["ev"] == "algorithm1.signal"
         ]
         assert len(actions) == len(synth_report.records)
 

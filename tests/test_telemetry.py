@@ -18,6 +18,7 @@ The promises under test, in the bus's own priority order:
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
@@ -39,6 +40,10 @@ from repro.obs.monitor import RuntimeMonitor, process_rss_kb
 from repro.synth import algorithm1
 
 from strategies import small_circuit
+
+# ``repro.obs.registry`` the module (``repro.obs.registry`` the attribute
+# is the accessor function).
+obs_registry = importlib.import_module("repro.obs.registry")
 
 
 def wait_until(predicate, timeout=5.0, poll=0.01):
@@ -92,13 +97,31 @@ def bus():
 # ---------------------------------------------------------------------------
 
 
+def in_worker(*events):
+    """Emit ``(name, fields)`` events from a forked child, as a pool
+    worker does, and reap it; returns the child's pid."""
+    child = os.fork()
+    if child == 0:
+        try:
+            for name, fields in events:
+                obs.event(name, **fields)
+        finally:
+            os._exit(0)
+    os.waitpid(child, 0)
+    return child
+
+
 class TestBusTransport:
-    def test_cone_lifecycle_round_trip(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n42", cone_inputs=5)
-            obs_bus.cone_progress("n42", "collapse", 0.125)
-            obs_bus.cone_finished("n42", "decomposed", elapsed=0.5)
-        assert wait_until(lambda: bus.counts.get("cone.end"))
+    def test_cone_lifecycle_round_trip(self, bus, obs_session):
+        obs_bus.activate(bus)
+        child = in_worker(
+            ("cone.start", {"sink": "n42", "cone_inputs": 5}),
+            ("cone.progress", {"sink": "n42", "phase": "collapse",
+                               "dur": 0.125}),
+            ("cone.end", {"sink": "n42", "action": "decomposed",
+                          "elapsed": 0.5}),
+        )
+        assert bus.sync()
         assert bus.counts == {
             "cone.start": 1,
             "cone.progress": 1,
@@ -106,24 +129,38 @@ class TestBusTransport:
         }
         assert bus.events_dropped == 0
         (worker,) = bus.worker_summary()
-        assert worker["pid"] == os.getpid()
+        assert worker["pid"] == child
         assert worker["state"] == "idle"
         assert worker["last_action"] == "decomposed"
         assert worker["events"] == 3
-        # Every record carried the bus meta.
-        assert all(r.get("run") == "testrun" for r in bus.recent)
+        # The worker's records reached the parent's ring, each carrying
+        # the bus meta.
+        records = obs.report()["events"]
+        assert [r["ev"] for r in records] == [
+            "cone.start", "cone.progress", "cone.end",
+        ]
+        assert all(r["pid"] == child for r in records)
+        assert all(r.get("run") == "testrun" for r in records)
 
-    def test_degrade_event_precedes_copied_end(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n7", cone_inputs=3)
-            obs_bus.cone_finished(
-                "n7", "copied", degrade_reason="node budget"
-            )
-        assert wait_until(lambda: bus.counts.get("cone.end"))
+    def test_degrade_event_precedes_copied_end(self, bus, obs_session):
+        """A cone the worker degrades itself sends ``cone.degrade``
+        before its ``cone.end``."""
+        net = small_circuit(7)
+        victim = decompose_sinks(net)[1]
+        obs_bus.activate(bus)
+        context = SynthesisContext(
+            net.copy(), SynthesisOptions(parallel_workers=1)
+        )
+        pipe = Pipeline(["cleanup", "dontcares"])
+        pipe.add("decompose_parallel", fault_spec={victim: "starve"})
+        pipe.run(context)
         assert bus.counts.get("cone.degrade") == 1
         (worker,) = bus.worker_summary()
         assert worker["state"] == "idle"
-        events = [r["ev"] for r in bus.recent]
+        events = [
+            r["ev"] for r in obs.report()["events"]
+            if r.get("sink") == victim
+        ]
         assert events.index("cone.degrade") < events.index("cone.end")
 
     def test_backpressure_drops_and_counts_exactly(self):
@@ -132,17 +169,18 @@ class TestBusTransport:
         read_fd, write_fd = os.pipe()
         os.set_blocking(write_fd, False)
         try:
-            emitter = obs_bus._Emitter(write_fd, {}, heartbeat=0)
+            emitter = obs_bus._Emitter(write_fd)
+            flood = {"v": 1, "ev": "flood", "payload": "x" * 512}
             sent = 0
             while emitter.dropped == 0 and sent < 20000:
-                emitter.emit("flood", payload="x" * 512)
+                emitter.write(flood)
                 sent += 1
             assert emitter.dropped > 0, "pipe never filled"
             before = emitter.dropped
-            # Nothing read yet: every further emit also drops.
-            assert emitter.emit("flood") is False
+            # Nothing read yet: every further write also drops.
+            assert emitter.write(flood) is False
             assert emitter.dropped == before + 1
-            # Drain the kernel buffer, then the next emit goes through
+            # Drain the kernel buffer, then the next write goes through
             # and reports the cumulative drop count.
             os.set_blocking(read_fd, False)
             try:
@@ -150,7 +188,7 @@ class TestBusTransport:
                     pass
             except BlockingIOError:
                 pass
-            assert emitter.emit("after") is True
+            assert emitter.write({"v": 1, "ev": "after"}) is True
             tail = os.read(read_fd, 65536).decode()
             record = json.loads(tail.strip().splitlines()[-1])
             assert record["ev"] == "after"
@@ -160,20 +198,22 @@ class TestBusTransport:
             os.close(write_fd)
 
     def test_reported_drops_reach_bus_aggregate(self, bus):
-        with bus.attached():
-            emitter = obs_bus._current_emitter()
-            emitter.dropped = 3  # as if back-pressure had struck
-            emitter.emit("cone.start", sink="s")
-        assert wait_until(lambda: bus.counts.get("cone.start"))
+        obs_bus.activate(bus)
+        emitter = obs_bus._Emitter(bus._write_fd)
+        emitter.dropped = 3  # as if back-pressure had struck
+        emitter.write({"v": 1, "ev": "cone.start", "pid": 1, "sink": "s"})
+        assert bus.sync()
+        assert bus.counts.get("cone.start") == 1
         assert bus.events_dropped == 3
         assert bus.snapshot()["events_dropped"] == 3
 
-    def test_oversized_record_truncated_not_torn(self, bus):
-        with bus.attached():
-            obs_bus.emit("huge", blob="y" * (2 * obs_bus.MAX_RECORD_BYTES))
-        assert wait_until(lambda: bus.counts.get("huge"))
+    def test_oversized_record_truncated_not_torn(self, bus, obs_session):
+        obs_bus.activate(bus)
+        in_worker(("huge", {"blob": "y" * (2 * obs_bus.MAX_RECORD_BYTES)}))
+        assert bus.sync()
+        assert bus.counts.get("huge") == 1
         assert bus.parse_errors == 0
-        record = list(bus.recent)[-1]
+        record = bus.snapshot()["recent"][-1]
         assert record.get("truncated") is True
         assert "blob" not in record
 
@@ -185,34 +225,43 @@ class TestBusTransport:
         assert bus.events_dropped == 1
         assert not bus.counts
 
-    def test_record_local_folds_without_worker_row(self, bus):
-        bus.record_local("shard.dispatch", cones=4, workers=2)
-        bus.record_local("cone.merged", sink="a", merged=1, total=4)
+    def test_parent_events_fold_without_worker_row(self, bus):
+        obs_bus.activate(bus)
+        obs.event("shard.dispatch", cones=4, workers=2)
+        obs.event("cone.merged", sink="a", merged=1, total=4)
         assert bus.counts == {"shard.dispatch": 1, "cone.merged": 1}
         assert bus.worker_summary() == []
         assert bus.events_total() == 2
 
     def test_heartbeat_streams_while_cone_in_flight(self):
         bus = obs_bus.TelemetryBus(heartbeat_interval=0.05)
+        obs_bus.activate(bus)
         try:
-            with bus.attached():
-                obs_bus.cone_started("slow", cone_inputs=9)
-                assert wait_until(
-                    lambda: bus.counts.get("heartbeat", 0) >= 2
-                )
-                obs_bus.cone_finished("slow", "decomposed")
-            assert wait_until(lambda: bus.counts.get("cone.end"))
+            obs.event("cone.start", sink="slow", cone_inputs=9)
+            assert wait_until(lambda: bus.counts.get("heartbeat", 0) >= 2)
+            obs.event("cone.end", sink="slow", action="decomposed")
             (worker,) = bus.worker_summary()
             assert worker["state"] == "idle"
+            beats = bus.counts["heartbeat"]
+            time.sleep(0.2)
+            assert bus.counts["heartbeat"] == beats  # none after the end
         finally:
             bus.close()
 
     def test_attachment_restores_previous_target(self, bus):
-        assert obs_bus._WORKER_FD is None
-        with bus.attached():
-            assert obs_bus._WORKER_FD == bus._write_fd
-        assert obs_bus._WORKER_FD is None
-        assert obs_bus.emit("nobody") is False
+        before = obs_registry._stamp
+        obs_bus.activate(bus)
+        assert obs_bus.active() is bus
+        assert bus.observe in obs_registry._sinks
+        assert obs_registry._stamp["run"] == "testrun"
+        obs_bus.deactivate()
+        assert obs_bus.active() is None
+        assert obs_registry._sinks == ()
+        assert obs_registry._stamp == before
+        # A child forked now keeps its own (empty) fan-out.
+        in_worker(("nobody", {}))
+        assert bus.sync()
+        assert bus.counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +271,12 @@ class TestBusTransport:
 
 class TestStallDetection:
     def _busy_worker(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n9", cone_inputs=4)
-            time.sleep(0.2)  # a measurable start->heartbeat gap
-            obs_bus.emit("heartbeat", sink="n9")
-        assert wait_until(lambda: bus.counts.get("heartbeat"))
+        obs_bus.activate(bus)
+        obs.event("cone.start", sink="n9", cone_inputs=4)
+        time.sleep(0.2)  # a measurable start->heartbeat gap
+        obs.event("heartbeat", sink="n9")
+        obs_bus.deactivate()
+        assert bus.counts.get("heartbeat") == 1
         with bus._lock:
             return dict(bus.workers[os.getpid()])
 
@@ -321,14 +371,11 @@ class TestWorkerFaults:
         """A child that dies *after* cone.start (mid-cone) leaves a busy
         row with no further events — exactly what the stall rules catch,
         and what the monitor surfaces as workers_stalled."""
-        with bus.attached():
-            child = os.fork()
-            if child == 0:
-                # Forked worker: announce a cone, then die silently.
-                obs_bus.cone_started("doomed", cone_inputs=6)
-                os._exit(0)
-            os.waitpid(child, 0)
-            assert wait_until(lambda: bus.counts.get("cone.start"))
+        obs_bus.activate(bus)
+        # Forked worker: announce a cone, then die silently.
+        child = in_worker(("cone.start", {"sink": "doomed", "cone_inputs": 6}))
+        assert bus.sync()
+        assert bus.counts.get("cone.start") == 1
         assert bus.parse_errors == 0
         (row,) = bus.worker_summary(stall_after=0.0, now=time.time() + 1.0)
         assert row["pid"] == child
@@ -339,29 +386,27 @@ class TestWorkerFaults:
         time.sleep(0.05)
         assert monitor.sample()["bus"]["workers_stalled"] == 1
 
-    def test_crash_bundle_embeds_log_tail(self, tmp_path):
-        logger = obs_logging.StructuredLogger(
-            tmp_path / "run.jsonl", run_id="r1"
-        )
-        obs_logging.install(logger)
+    def test_crash_bundle_embeds_log_tail(self, tmp_path, obs_session):
+        """The bundle's tail is the newest event records: the same
+        records the run log's last lines hold."""
+        path = tmp_path / "run.jsonl"
+        handler = obs_logging.install(path)
+        obs.stamp(run="r1")
         try:
-            obs_logging.log_event("info", "pipeline.pass", index=0)
-            obs_logging.log_event("error", "governor.exhausted", pass_name="x")
+            obs.event("pipeline.pass", index=0)
+            obs.event("governor.exhausted", pass_name="x")
             bundle = crashdump.build_crash_bundle(RuntimeError("boom"))
         finally:
-            obs_logging.uninstall()
-            logger.close()
+            obs.stamp(run=None)
+            obs_logging.uninstall(handler)
         tail = bundle["log_tail"]
-        assert [r["event"] for r in tail] == [
+        assert [r["ev"] for r in tail] == [
             "pipeline.pass", "governor.exhausted",
         ]
         assert all(r["run"] == "r1" for r in tail)
+        logged = [json.loads(line) for line in path.read_text().splitlines()]
+        assert logged == tail
         assert bundle["exception"]["message"] == "boom"
-
-    def test_crash_bundle_without_logger_has_no_tail(self):
-        assert obs_logging.active() is None
-        bundle = crashdump.build_crash_bundle(RuntimeError("quiet"))
-        assert "log_tail" not in bundle
 
 
 # ---------------------------------------------------------------------------
@@ -530,54 +575,42 @@ class TestOpenMetrics:
 
 
 class TestStructuredLogger:
-    def test_leveled_file_and_tail(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with obs_logging.StructuredLogger(
-            path, level="info", run_id="abc", tail=2
-        ) as logger:
-            assert logger.debug("noise") is False
-            assert logger.info("one", sink="a") is True
-            assert logger.warning("two") is True
-            assert logger.error("three") is True
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [r["event"] for r in records] == ["one", "two", "three"]
-        assert records[0]["run"] == "abc"
-        assert records[0]["sink"] == "a"
-        assert records[0]["level"] == "info"
-        # Bounded tail keeps only the newest records.
-        assert [r["event"] for r in logger.tail_records()] == [
-            "two", "three",
-        ]
-        assert [r["event"] for r in logger.tail_records(limit=1)] == [
-            "three",
-        ]
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError, match="unknown log level"):
-            obs_logging.StructuredLogger(level="loud")
-
-    def test_unwritable_path_degrades_to_tail(self, tmp_path):
+    def test_unwritable_path_degrades_to_tail(self, tmp_path, obs_session):
+        """An unwritable log path is counted, never raised, and the
+        record still reaches the ring the crash bundle's tail reads."""
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
-        logger = obs_logging.StructuredLogger(blocker / "run.jsonl")
-        assert logger.write_errors == 1
-        assert logger.info("still.recorded") is True
-        assert logger.tail_records()[-1]["event"] == "still.recorded"
-        logger.close()
-
-    def test_module_registry_and_tail(self, tmp_path):
-        assert obs_logging.log_event("info", "nobody.home") is False
-        assert obs_logging.active_tail() == []
-        logger = obs_logging.StructuredLogger(tmp_path / "run.jsonl")
-        obs_logging.install(logger)
+        handler = obs_logging.install(blocker / "run.jsonl")
         try:
-            assert obs_logging.active() is logger
-            assert obs_logging.log_event("debug", "hello", n=1) is True
-            assert obs_logging.active_tail()[-1]["event"] == "hello"
+            obs.event("still.recorded")
         finally:
-            obs_logging.uninstall()
-            logger.close()
-        assert obs_logging.active() is None
+            obs_logging.uninstall(handler)
+        assert handler.write_errors == 1
+        assert handler.records_written == 0
+        assert obs.report()["events"][-1]["ev"] == "still.recorded"
+
+    def test_module_registry_and_tail(self, tmp_path, obs_session):
+        """install() makes the log a sink on the ``repro`` logger: each
+        line is the very record the ring keeps; uninstall() takes the
+        sink away again."""
+        path = tmp_path / "run.jsonl"
+        handler = obs_logging.install(path)
+        try:
+            assert handler in obs_logging.logger.handlers
+            obs.event("hello", n=1, sink="a")
+        finally:
+            obs_logging.uninstall(handler)
+        assert handler not in obs_logging.logger.handlers
+        assert obs_logging._log_sink not in obs_registry._sinks
+        obs.event("after.uninstall")
+        (line,) = path.read_text().splitlines()
+        record = json.loads(line)
+        assert record == obs.report()["events"][0]
+        assert record["ev"] == "hello"
+        assert record["v"] == 1
+        assert record["pid"] == os.getpid()
+        assert record["n"] == 1 and record["sink"] == "a"
+        assert handler.records_written == 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +631,10 @@ class TestPassDeltas:
         assert final["nodes"] == report.network.stats()["nodes"]
 
     def test_profile_table_shows_deltas(self, obs_session):
-        algorithm1(small_circuit(3), SynthesisOptions())
-        text = obs.render_profile(obs.report())
+        result = algorithm1(small_circuit(3), SynthesisOptions())
+        text = obs.render_profile(
+            {**obs.report(), "run": {"passes": result.passes}}
+        )
         assert "pipeline passes" in text
         assert "Δnodes" in text and "Δlits" in text
 
@@ -633,8 +668,7 @@ class TestOutOfBand:
         golden = canonical_report(
             algorithm1(net.copy(), SynthesisOptions(parallel_workers=2))
         )
-        logger = obs_logging.StructuredLogger(tmp_path / "run.jsonl")
-        obs_logging.install(logger)
+        handler = obs_logging.install(tmp_path / "run.jsonl")
         bus = obs_bus.TelemetryBus(run_id="det", heartbeat_interval=0.05)
         obs_bus.activate(bus)
         exporter = openmetrics.MetricsExporter(
@@ -654,16 +688,15 @@ class TestOutOfBand:
             obs_bus.deactivate()
             exporter.close()
             bus.close()
-            obs_logging.uninstall()
-            logger.close()
+            obs_logging.uninstall(handler)
         assert bus.counts.get("cone.start", 0) > 0
         assert bus.events_dropped == 0
-        # The bus mirrored its stream into the structured log.
-        mirrored = [
-            r for r in logger.tail_records()
-            if r["event"].startswith("bus.cone.")
+        # Worker records reached the structured log through the bus.
+        logged = [
+            json.loads(line)
+            for line in (tmp_path / "run.jsonl").read_text().splitlines()
         ]
-        assert mirrored
+        assert [r for r in logged if r["ev"].startswith("cone.")]
         openmetrics.parse_openmetrics((tmp_path / "m.om").read_text())
 
     def test_disabled_path_imports_nothing(self):
@@ -691,6 +724,94 @@ class TestOutOfBand:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
+
+
+# ---------------------------------------------------------------------------
+# One event model: every sink receives the same records
+# ---------------------------------------------------------------------------
+
+
+def record_names(tmp_path, tag):
+    """``ev`` multisets of one CLI run's log, trace instants and report."""
+    from collections import Counter
+
+    log = Counter(
+        json.loads(line)["ev"]
+        for line in (tmp_path / f"{tag}.jsonl").read_text().splitlines()
+    )
+    trace = json.loads((tmp_path / f"{tag}.trace").read_text())
+    instants = Counter(
+        e["name"] for e in trace["traceEvents"] if e["ph"] == "i"
+    )
+    report = json.loads((tmp_path / f"{tag}.json").read_text())
+    events = Counter(e["ev"] for e in report["events"])
+    return log, instants, events
+
+
+class TestOneEventModel:
+    @pytest.fixture(scope="class")
+    def s344_runs(self, tmp_path_factory):
+        from repro import cli
+
+        tmp_path = tmp_path_factory.mktemp("one_event_model")
+        source = tmp_path / "s344.blif"
+        assert cli.main(["generate", "s344", "-o", str(source)]) == 0
+        for workers in (0, 2):
+            tag = f"w{workers}"
+            assert cli.main([
+                "optimize", str(source), "-o", str(tmp_path / f"{tag}.blif"),
+                "--workers", str(workers),
+                "--trace", str(tmp_path / f"{tag}.trace"),
+                "--log-json", str(tmp_path / f"{tag}.jsonl"),
+                "--stats-json", str(tmp_path / f"{tag}.json"),
+            ]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_log_trace_and_report_hold_the_same_records(
+        self, s344_runs, workers
+    ):
+        log, instants, events = record_names(s344_runs, f"w{workers}")
+        assert log == instants == events
+        assert log["pipeline.pass"] == 7
+        assert log["run.start"] == log["run.end"] == 1
+
+    def test_serial_log_holds_every_signal_outcome(self, s344_runs):
+        log, _, _ = record_names(s344_runs, "w0")
+        assert log["algorithm1.signal"] == 26
+
+    def test_parallel_log_holds_worker_records(self, s344_runs):
+        log, _, _ = record_names(s344_runs, "w2")
+        assert log["cone.start"] == log["cone.end"] == log["cone.merged"] > 0
+        report = json.loads((s344_runs / "w2.json").read_text())
+        pids = {e["pid"] for e in report["events"] if e["ev"] == "cone.end"}
+        assert os.getpid() not in pids and len(pids) >= 1
+
+    def test_profile_renders_every_pass_from_a_tiny_ring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The pass table reads the pass log, not the ring, so a ring
+        that wraps early still shows all 7 passes."""
+        from collections import deque
+
+        from repro import cli
+
+        monkeypatch.setattr(obs.registry(), "events", deque(maxlen=2))
+        source = tmp_path / "s344.blif"
+        assert cli.main(["generate", "s344", "-o", str(source)]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "optimize", str(source), "-o", str(tmp_path / "out.blif"),
+            "--workers", "2", "--profile",
+        ]) == 0
+        out = capsys.readouterr().out
+        table = out.split("pipeline passes", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split()[1] for line in table.splitlines()[2:]]
+        assert rows == [
+            "cleanup", "dontcares", "decompose_parallel", "finalize",
+            "sweep", "strash", "sweep",
+        ]
+        assert "event buffer wrapped" in out
 
 
 # ---------------------------------------------------------------------------

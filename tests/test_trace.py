@@ -60,12 +60,14 @@ class TestTraceRecorder:
     def test_record_shapes(self):
         recorder = obs_trace.TraceRecorder()
         recorder.begin("phase", {"path": "phase"})
-        recorder.instant("tick", {"n": 1})
+        recorder.event({"ev": "tick", "n": 1})
         recorder.counter("nodes", {"live": 42})
         recorder.end("phase")
         records = recorder.records()
         assert [r["ph"] for r in records] == ["B", "i", "C", "E"]
         assert records[0]["args"] == {"path": "phase"}
+        assert records[1]["name"] == "tick"
+        assert records[1]["args"] == {"n": 1}
         assert records[2]["args"] == {"live": 42}
         assert all(r["pid"] == recorder.pid for r in records)
         ts = [r["ts"] for r in records]
@@ -74,7 +76,7 @@ class TestTraceRecorder:
     def test_ring_buffer_drops_oldest_and_counts(self):
         recorder = obs_trace.TraceRecorder(capacity=10)
         for index in range(25):
-            recorder.instant(f"e{index}")
+            recorder.event({"ev": f"e{index}"})
         records = recorder.records()
         assert len(records) == 10
         assert recorder.dropped == 15
@@ -84,7 +86,7 @@ class TestTraceRecorder:
     def test_tail(self):
         recorder = obs_trace.TraceRecorder()
         for index in range(30):
-            recorder.instant(f"e{index}")
+            recorder.event({"ev": f"e{index}"})
         tail = recorder.tail(5)
         assert [r["name"] for r in tail] == ["e25", "e26", "e27", "e28", "e29"]
         assert len(recorder.tail(1000)) == 30
@@ -125,10 +127,27 @@ class TestRegistryMirroring:
         # Aggregates were still collected alongside the trace.
         assert obs.report()["spans"]["outer/inner"]["count"] == 1
 
+    def test_worker_record_lands_on_its_pid_track(self):
+        """A record another process built (a worker's, passed on by the
+        bus) is placed on that pid's track at its own wall-clock time."""
+        import time
+
+        recorder = obs_trace.TraceRecorder()
+        sent = time.time() + 1.5
+        recorder.event(
+            {"v": 1, "ev": "cone.end", "t": sent, "pid": 4242, "sink": "n1"}
+        )
+        (record,) = recorder.records()
+        assert record["tid"] == 4242
+        assert record["pid"] == recorder.pid
+        assert record["args"] == {"sink": "n1"}
+        offset_us = (sent - recorder.metadata()["epoch_unix"]) * 1e6
+        assert record["ts"] == pytest.approx(offset_us, abs=1.0)
+
     def test_no_recording_while_obs_disabled(self):
         recorder = obs_trace.install()
         with obs.span("quiet"):
-            pass
+            obs.event("quiet.event")
         assert recorder.records() == []
         obs_trace.uninstall()
 
@@ -395,7 +414,7 @@ class TestGovernorExhaustionEvent:
             assert governor.out_of_budget()  # latched; no second event
         events = [
             e for e in obs.report()["events"]
-            if e["name"] == "governor.exhausted"
+            if e["ev"] == "governor.exhausted"
         ]
         assert len(events) == 1
         event = events[0]
@@ -414,7 +433,7 @@ class TestGovernorExhaustionEvent:
         governor.mark_exhausted("second reason ignored")
         events = [
             e for e in obs.report()["events"]
-            if e["name"] == "governor.exhausted"
+            if e["ev"] == "governor.exhausted"
         ]
         assert len(events) == 1
         assert events[0]["reason"] == "caller said stop"
@@ -490,7 +509,7 @@ class TestCrashDiagnostics:
         assert ctx["pipeline_pass"] == "explode"
         assert ctx["pipeline_index"] == 1
         crash_events = [
-            e for e in obs.report()["events"] if e["name"] == "pipeline.crash"
+            e for e in obs.report()["events"] if e["ev"] == "pipeline.crash"
         ]
         assert len(crash_events) == 1
         assert crash_events[0]["pass_name"] == "explode"
