@@ -130,9 +130,10 @@ def test_ledger_off_path_is_import_free(tmp_path):
     )
 
 
-def test_profile_guided_dispatch_stays_deterministic(tmp_path):
-    """Sanity row for the trajectory record: a ledger-seeded second run
-    (LPT dispatch) must still be bit-identical to the cold run."""
+def test_warm_ledger_run_stays_bit_identical(tmp_path):
+    """Sanity row for the trajectory record: a run whose ledger already
+    holds a previous run must still be bit-identical to a ledger-off
+    run."""
     from repro.engine.checkpoint import network_to_dict
     from repro.obs import ledger as obs_ledger
 
@@ -151,11 +152,10 @@ def test_profile_guided_dispatch_stays_deterministic(tmp_path):
             obs_ledger.deactivate()
     ledger.close()
     assert network_to_dict(warm.network) == network_to_dict(cold.network)
-    assert warm.artifacts["parallel.dispatch"]["profile_guided"] is True
     record_bench_json(
-        "bench_ledger", "profile_guided_bit_identical", 0.0,
+        "bench_ledger", "warm_ledger_bit_identical", 0.0,
         metrics={
-            "cones": len(warm.artifacts["parallel.dispatch"]["order"]),
+            "cones": len(warm.artifacts["parallel.cone_stats"]),
             "bit_identical": True,
         },
     )

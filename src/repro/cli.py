@@ -75,12 +75,11 @@ layer is off by default, adds zero imports when off, and is strictly
 out-of-band: synthesis output is bit-identical with telemetry on or off.
 
 The same long-run commands accept ``--ledger PATH``: append this run —
-wall/literal/degradation results, per-pass timings, per-cone rows keyed
-by the canonical task signature — to a persistent SQLite run ledger
-(WAL mode, safe for concurrent appenders).  On later ledger-enabled
-runs the parallel scheduler loads a cone cost model from that history
-and dispatches shards longest-first (LPT); the merge stays plan-ordered,
-so the output is bit-identical with or without history.
+wall/literal/degradation results, per-pass timings and, for parallel
+runs, one row per cone (sink, inputs, action, elapsed, costs, worker
+pid, backend) — to a persistent SQLite run ledger (WAL mode, safe for
+concurrent appenders) that ``repro history`` reads.  The ledger only
+records: the output is bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -996,8 +995,7 @@ def _history_show(ledger, args) -> int:
                 f"    {cone['sink']:<16} {cone.get('action') or '-':<10} "
                 f"{f'{elapsed:.3f}s' if elapsed is not None else '-':>8} "
                 f"{cone.get('backend') or '-':<9} "
-                f"inputs={cone.get('cone_inputs')} "
-                f"key={cone.get('task_key') or '-'}"
+                f"inputs={cone.get('cone_inputs')}"
             )
     return 0
 
@@ -1612,8 +1610,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except NetlistError as exc:
-        # A malformed input file is the user's to fix: one line naming
-        # path:line, exit 1, no traceback and no crash bundle.
+        # A malformed input file, or two netlists whose interfaces
+        # differ, is the user's to fix: one line, exit 1, no traceback
+        # and no crash bundle.
         global _ACTIVE_DIAG
         if _ACTIVE_DIAG is not None:
             _ACTIVE_DIAG.abort()

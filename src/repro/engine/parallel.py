@@ -49,6 +49,7 @@ from repro.engine.passes import (
     register_pass,
     settle_cone,
 )
+from repro.obs.registry import tracer as _tracer
 from repro.synth.conetask import (
     TASK_OPTION_KEYS,
     ConeTask,
@@ -102,57 +103,25 @@ class ParallelConeScheduler:
     (unlimited when ``timeout`` is ``None``); note the inline path
     cannot enforce timeouts.
 
-    A :class:`~repro.obs.costmodel.ConeCostModel` (optional) reorders
-    *dispatch only*: tasks are submitted to the pool longest-predicted
-    first (LPT), which trims the makespan tail, while callers still
-    merge in their own fixed order — results are keyed by sink, so the
-    dispatch permutation cannot change the output.  The order actually
-    used is recorded in :attr:`dispatch_order` after each ``execute``.
+    Tasks are dispatched in the order given (the plan order).  Results
+    are keyed by sink and callers merge in their own fixed order, so
+    dispatch order could change only wall time, never the output.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        timeout: Optional[float] = None,
-        cost_model: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, workers: int, timeout: Optional[float] = None) -> None:
         self.workers = max(1, int(workers))
         self.timeout = timeout
-        self.cost_model = cost_model
-        #: Sinks in the order the last ``execute`` dispatched them.
-        self.dispatch_order: list[str] = []
 
     # -- execution ------------------------------------------------------
-
-    def _dispatch_permutation(self, tasks: list[ConeTask]) -> list[int]:
-        """LPT permutation from the cost model, or the identity (static
-        plan order) when no model is loaded or prediction fails."""
-        identity = list(range(len(tasks)))
-        model = self.cost_model
-        if model is None:
-            return identity
-        try:
-            order = list(model.order(tasks))
-        except Exception:
-            if _obs.enabled():
-                _obs.inc("parallel.costmodel.errors")
-            return identity
-        if sorted(order) != identity:  # not a permutation — ignore it
-            return identity
-        return order
 
     def execute(self, tasks: list[ConeTask]) -> dict[str, dict[str, Any]]:
         """Run every task; returns ``{sink: result_or_failure}`` with an
         entry for each task (failures never raise)."""
         if not tasks:
-            self.dispatch_order = []
             return {}
-        order = self._dispatch_permutation(tasks)
-        dispatch = [tasks[i] for i in order]
-        self.dispatch_order = [task.sink for task in dispatch]
         if self.workers == 1:
-            return self._execute_inline(dispatch)
-        return self._execute_pool(dispatch)
+            return self._execute_inline(tasks)
+        return self._execute_pool(tasks)
 
     def _execute_inline(
         self, tasks: list[ConeTask]
@@ -298,9 +267,7 @@ class ParallelConeScheduler:
 def _merge_worker_trace(result: dict[str, Any]) -> None:
     """Mirror a worker's phase timings into the installed trace recorder
     as external spans on a per-worker-pid track."""
-    from repro.obs import trace as _trace
-
-    recorder = _trace.active()
+    recorder = _tracer()
     if recorder is None:
         return
     started = result.get("started_wall")
@@ -378,10 +345,7 @@ class DecomposeParallelPass(_BasePass):
             return
 
         # -- execution ---------------------------------------------------
-        cost_model = self._load_cost_model()
-        scheduler = ParallelConeScheduler(
-            workers, timeout=timeout, cost_model=cost_model
-        )
+        scheduler = ParallelConeScheduler(workers, timeout=timeout)
         if _obs.enabled():
             _obs.set_gauge("parallel.workers", workers)
             _obs.inc("parallel.tasks", len(tasks))
@@ -389,39 +353,35 @@ class DecomposeParallelPass(_BasePass):
             _obs.set_gauge("parallel.cones.total", len(tasks))
             _obs.set_gauge("parallel.cones.merged", 0)
             _obs.set_gauge("parallel.cones.degraded", 0)
-        # Live telemetry bus (sys.modules only — never an import): while
-        # one is active, the workers the pool forks stream their event
-        # records to the parent as cones run.  Purely out-of-band —
-        # dispatch, execution and merge below are untouched.
-        bus = None
+        # Live telemetry bus: while one is active, the workers the pool
+        # forks stream their event records to the parent as cones run.
+        # The CLI's live views bring one up; failing that, an
+        # instrumented pool run brings up its own around the execution,
+        # so worker records reach the report instead of dying with the
+        # worker.  With obs off nothing is imported.  Purely out-of-band:
+        # dispatch, execution and merge are untouched.
         bus_mod = sys.modules.get("repro.obs.bus")
-        if bus_mod is not None:
-            bus = bus_mod.active()
-        if bus is not None and cost_model:
-            try:
-                bus.set_expected_costs(
-                    {t.sink: cost_model.predict(t) for t in tasks}
-                )
-            except Exception:
-                pass
-        _obs.event(
-            "shard.dispatch", cones=len(tasks), workers=workers,
-            profile_guided=bool(cost_model),
-        )
+        bus = bus_mod.active() if bus_mod is not None else None
+        own_bus = None
+        if bus is None and workers >= 2 and _obs.enabled():
+            from repro.obs import bus as bus_mod
+
+            own_bus = bus = bus_mod.TelemetryBus(heartbeat_interval=0)
+            bus_mod.activate(own_bus)
+        _obs.event("shard.dispatch", cones=len(tasks), workers=workers)
         began = time.perf_counter()
-        with _obs.span("algorithm1.parallel.execute"):
-            results = scheduler.execute(tasks)
-        if bus is not None:
-            bus.sync()
+        try:
+            with _obs.span("algorithm1.parallel.execute"):
+                results = scheduler.execute(tasks)
+            if bus is not None:
+                bus.sync()
+        finally:
+            if own_bus is not None:
+                own_bus.close()
         if _obs.enabled():
             _obs.observe(
                 "parallel.execute.elapsed", time.perf_counter() - began
             )
-        context.artifacts["parallel.dispatch"] = {
-            "order": list(scheduler.dispatch_order),
-            "profile_guided": bool(cost_model),
-            "backend_option": task_options["backend"],
-        }
 
         # -- deterministic merge (sink order, not completion order) ------
         degraded_cones: list[str] = []
@@ -436,8 +396,6 @@ class DecomposeParallelPass(_BasePass):
             cone_stats.append(
                 {
                     "sink": sink,
-                    "task_key": task.task_key(),
-                    "signature": result.get("signature"),
                     "cone_inputs": int(
                         result.get("cone_inputs")
                         or len(task.slice.get("inputs", []))
@@ -476,41 +434,16 @@ class DecomposeParallelPass(_BasePass):
         }
         context.artifacts["parallel.cone_stats"] = cone_stats
         # Per-cone routing outcome ("auto" resolved per cone in the
-        # worker) next to the dispatch order it applied to.
-        dispatch = context.artifacts.get("parallel.dispatch")
-        if dispatch is not None:
-            dispatch["backends"] = {
-                row["sink"]: row["backend"] for row in cone_stats
-            }
+        # worker) next to the backend option it resolved.
+        context.artifacts["parallel.dispatch"] = {
+            "backend_option": task_options["backend"],
+            "backends": {row["sink"]: row["backend"] for row in cone_stats},
+        }
         # Ledger append via sys.modules — never an import, so ledger-off
         # runs stay I/O-free (bench_ledger asserts the module is absent).
         ledger_mod = sys.modules.get("repro.obs.ledger")
         if ledger_mod is not None:
             ledger_mod.record_cones_active(cone_stats)
-
-    def _load_cost_model(self) -> Optional[Any]:
-        """The cone cost model for this run: the ``_cost_model``
-        ephemeral param (test hook) wins; otherwise learn from the
-        active ledger's history when one is live.  Never raises — no
-        model just means static plan order."""
-        model = self.params.get("_cost_model")
-        if model is not None:
-            return model
-        ledger_mod = sys.modules.get("repro.obs.ledger")
-        if ledger_mod is None:
-            return None
-        active = ledger_mod.active_run()
-        if active is None:
-            return None
-        try:
-            from repro.obs.costmodel import ConeCostModel
-
-            loaded = ConeCostModel.from_ledger(active[0])
-        except Exception:
-            if _obs.enabled():
-                _obs.inc("parallel.costmodel.errors")
-            return None
-        return loaded if loaded else None
 
     # -- helpers ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from repro.network.simulate import (
 from repro.network.bdd_build import ConeCollapser
 from repro.network.check import (
     CheckResult,
+    InterfaceMismatch,
     combinational_equivalent_bdd,
     combinational_equivalent_sat,
     sequential_equivalent_reachable,
@@ -46,6 +47,7 @@ __all__ = [
     "Node",
     "Latch",
     "NetlistError",
+    "InterfaceMismatch",
     "NODE_OPS",
     "VARIADIC_OPS",
     "parse_blif",

@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 from repro.bdd.manager import BDDManager, FALSE
 from repro.network.bdd_build import ConeCollapser
-from repro.network.netlist import Network
+from repro.network.netlist import NetlistError, Network
 from repro.sat.cnf import CnfBuilder, encode_cone
 from repro.sat.solver import Solver
 
@@ -38,16 +38,35 @@ class CheckResult:
     counterexample: Optional[dict[str, bool]] = None
 
 
+class InterfaceMismatch(NetlistError):
+    """Two networks that cannot be compared signal by signal: their
+    inputs, outputs or latches differ.  The message names the signals
+    found on only one side (``left`` is the first network)."""
+
+
+def _mismatch(kind: str, left: list[str], right: list[str]) -> InterfaceMismatch:
+    sides = [
+        f"only in {side}: {', '.join(sorted(names))}"
+        for side, names in (
+            ("left", set(left) - set(right)), ("right", set(right) - set(left))
+        )
+        if names
+    ]
+    return InterfaceMismatch(
+        f"{kind} differ ({'; '.join(sides) or 'same names, other order'})"
+    )
+
+
 def _matched_interfaces(left: Network, right: Network) -> list[str]:
     if left.inputs != right.inputs:
-        raise ValueError("primary inputs differ")
+        raise _mismatch("primary inputs", left.inputs, right.inputs)
     if left.outputs != right.outputs:
-        raise ValueError("primary outputs differ")
+        raise _mismatch("primary outputs", left.outputs, right.outputs)
     if set(left.latches) != set(right.latches):
-        raise ValueError("latch sets differ")
+        raise _mismatch("latch sets", list(left.latches), list(right.latches))
     for name in left.latches:
         if left.latches[name].init != right.latches[name].init:
-            raise ValueError(f"latch {name!r} init values differ")
+            raise InterfaceMismatch(f"latch {name!r} init values differ")
     # Signals to compare: outputs and next-state functions, keyed by the
     # latch name for the latter.
     return list(left.outputs) + list(left.latches)
@@ -159,6 +178,7 @@ def sequential_equivalent_reachable(
     """
     from repro.reach.dontcare import DontCareManager
 
+    _matched_interfaces(left, right)  # fail before the reachability run
     dcm = DontCareManager(left, max_partition_size=max_partition_size)
     care_manager = BDDManager()
     care_vars = {name: care_manager.new_var(name) for name in left.latches}

@@ -34,7 +34,9 @@ class SignalError(ValueError):
 
 
 class NetlistError(ValueError):
-    """A malformed netlist file; the message starts with ``path:line``."""
+    """A netlist the flow cannot use.  For a malformed file the message
+    starts with ``path:line``; :class:`~repro.network.check.InterfaceMismatch`
+    covers two networks that cannot be compared."""
 
 
 @dataclass

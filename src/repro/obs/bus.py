@@ -27,10 +27,11 @@ Design constraints, in order:
   guarantees atomic pipe writes up to that size), so a reader never
   sees two workers' bytes interleaved mid-line; an oversized record is
   replaced by a small ``truncated`` marker rather than split.
-* **Import-free when off.**  Engine layers reach the bus only through
-  ``sys.modules.get("repro.obs.bus")`` — a run without telemetry flags
-  never imports this module (the CI telemetry-smoke job asserts exactly
-  that in a fresh interpreter).
+* **Import-free when off.**  Engine layers reach an active bus only
+  through ``sys.modules.get("repro.obs.bus")``.  The one engine-side
+  import is the parallel pass bringing up a private bus for a pool run
+  while obs is on, so a run with obs off never imports this module (the
+  CI telemetry-smoke job asserts exactly that in a fresh interpreter).
 
 The record schema is :func:`repro.obs.event`'s.  The records that move
 a worker's row are the cone lifecycle events, each with ``sink``:
@@ -74,12 +75,6 @@ DEFAULT_HEARTBEAT = 0.5
 #: Default liveness horizon: a worker whose cone has been in flight
 #: with no event for this long is considered stalled.
 DEFAULT_STALL_AFTER = 10.0
-
-#: Multiple of the cost-model prediction beyond which an in-flight cone
-#: is flagged stalled even while heartbeats still arrive (a live worker
-#: grinding far past its history is exactly the blow-up case the paper's
-#: workloads hit).
-STALL_COST_FACTOR = 8.0
 
 #: The events that move a worker's row in the aggregate.
 WORKER_EVENTS = frozenset(
@@ -208,8 +203,6 @@ class TelemetryBus:
         self.parse_errors = 0
         #: Per-pid cumulative drop counts reported by emitters.
         self._reported_drops: dict[int, int] = {}
-        #: Cost-model predictions per sink (see ``set_expected_costs``).
-        self.expected_costs: dict[str, float] = {}
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-bus-reader", daemon=True
         )
@@ -224,17 +217,6 @@ class TelemetryBus:
         if self.shard is not None:
             fields["shard"] = self.shard
         return fields
-
-    def set_expected_costs(self, costs: dict[str, float]) -> None:
-        """Per-sink predicted seconds from the ledger cost model; used
-        by :meth:`worker_summary` to flag cones grinding far past their
-        history as stalled."""
-        with self._lock:
-            self.expected_costs = {
-                str(sink): float(cost)
-                for sink, cost in costs.items()
-                if cost and cost > 0
-            }
 
     # -- ingest ---------------------------------------------------------
 
@@ -369,17 +351,13 @@ class TelemetryBus:
 
         A worker is **stalled** when its cone has been in flight with no
         event (not even a heartbeat) for ``stall_after`` seconds — the
-        signature of a dead or wedged process — or when a live worker
-        has ground past :data:`STALL_COST_FACTOR` times the ledger cost
-        model's prediction for that cone (see
-        :meth:`set_expected_costs`).
+        signature of a dead or wedged process.
         """
         horizon = self.stall_after if stall_after is None else stall_after
         current = time.time() if now is None else now
         rows: list[dict[str, Any]] = []
         with self._lock:
             workers = [dict(w) for w in self.workers.values()]
-            expected = dict(self.expected_costs)
         for worker in sorted(workers, key=lambda w: w["pid"]):
             row = {
                 "pid": worker["pid"],
@@ -395,24 +373,11 @@ class TelemetryBus:
             }
             if worker["state"] == "busy":
                 started = worker.get("sink_started") or current
-                in_flight = max(0.0, current - started)
-                row["in_flight_s"] = round(in_flight, 3)
-                predicted = expected.get(str(worker.get("sink")))
-                if predicted is not None:
-                    row["predicted_s"] = round(predicted, 3)
+                row["in_flight_s"] = round(max(0.0, current - started), 3)
                 if row["last_event_age"] > horizon:
                     row["stalled"] = True
                     row["stall_reason"] = (
                         f"no event for {row['last_event_age']:.1f}s"
-                    )
-                elif (
-                    predicted is not None
-                    and in_flight > max(horizon, STALL_COST_FACTOR * predicted)
-                ):
-                    row["stalled"] = True
-                    row["stall_reason"] = (
-                        f"in flight {in_flight:.1f}s vs "
-                        f"{predicted:.3f}s predicted"
                     )
             rows.append(row)
         return rows

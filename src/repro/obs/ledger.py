@@ -1,11 +1,10 @@
 """Run ledger: persistent, append-only cross-run telemetry.
 
-PRs 1 and 4 made a *single* run observable — metrics, traces, a status
-heartbeat, crash bundles — but every record died with the process.  The
-ledger is the cross-run memory: an SQLite database (WAL-mode, safe for
-concurrent appenders) holding one row per run, per pipeline pass, and
-per decomposed cone, so tooling can compare run N against run N-1 and
-the parallel scheduler can learn per-cone costs from history.
+Metrics, traces, the status heartbeat and crash bundles describe a
+*single* run, and every record dies with the process.  The ledger is
+the cross-run memory: an SQLite database (WAL-mode, safe for concurrent
+appenders) holding one row per run, per pipeline pass, and per
+decomposed cone, so tooling can compare run N against run N-1.
 
 Three tables:
 
@@ -20,13 +19,11 @@ Three tables:
     appended *at the pass boundary* so a crashed run still shows how far
     it got.
 ``cones``
-    One row per cone the decompose loop processed: the structural
-    :meth:`~repro.synth.conetask.ConeTask.task_key` (known before
-    dispatch — what the cost model predicts by), the exact
-    function-canonical interval ``signature`` computed by the worker
-    from its BDD (the key a future cross-run cone cache needs), the
-    action taken, and the worker-measured elapsed time that feeds the
-    LPT dispatch order.
+    One row per cone the parallel decompose loop processed: sink, input
+    count, the action taken, the worker-measured elapsed time, tree and
+    original costs, worker pid and backend.  Older ledgers whose cone
+    rows also carry two per-cone hash keys still open and take new rows;
+    those two columns are left NULL.
 
 Everything here is **off by default**: no CLI flag, no import, no I/O.
 The engine layers reach the ledger only through :func:`active_run` via a
@@ -198,8 +195,6 @@ class RunLedger:
                     seq INTEGER PRIMARY KEY AUTOINCREMENT,
                     run_id TEXT NOT NULL,
                     sink TEXT NOT NULL,
-                    task_key TEXT,
-                    signature TEXT,
                     cone_inputs INTEGER,
                     action TEXT,
                     elapsed REAL,
@@ -208,7 +203,6 @@ class RunLedger:
                     pid INTEGER);
                 CREATE INDEX IF NOT EXISTS idx_passes_run ON passes(run_id);
                 CREATE INDEX IF NOT EXISTS idx_cones_run ON cones(run_id);
-                CREATE INDEX IF NOT EXISTS idx_cones_key ON cones(task_key);
                 """
             )
             self._conn.execute(
@@ -337,15 +331,13 @@ class RunLedger:
     def record_cones(
         self, run_id: str, rows: Iterable[dict[str, Any]]
     ) -> int:
-        """Append per-cone rows (dicts with any of ``sink``, ``task_key``,
-        ``signature``, ``cone_inputs``, ``action``, ``elapsed``,
-        ``tree_cost``, ``original_cost``, ``pid``, ``backend``)."""
+        """Append per-cone rows (dicts with any of ``sink``,
+        ``cone_inputs``, ``action``, ``elapsed``, ``tree_cost``,
+        ``original_cost``, ``pid``, ``backend``)."""
         payload = [
             (
                 run_id,
                 row.get("sink"),
-                row.get("task_key"),
-                row.get("signature"),
                 row.get("cone_inputs"),
                 row.get("action"),
                 row.get("elapsed"),
@@ -358,9 +350,9 @@ class RunLedger:
         ]
         with self._conn:
             self._conn.executemany(
-                "INSERT INTO cones (run_id, sink, task_key, signature, "
-                "cone_inputs, action, elapsed, tree_cost, original_cost, "
-                "pid, backend) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
+                "INSERT INTO cones (run_id, sink, cone_inputs, action, "
+                "elapsed, tree_cost, original_cost, pid, backend) "
+                "VALUES (?,?,?,?,?,?,?,?,?)",
                 payload,
             )
         return len(payload)
@@ -441,36 +433,12 @@ class RunLedger:
         return [
             dict(r)
             for r in self._conn.execute(
-                "SELECT sink, task_key, signature, cone_inputs, action, "
-                "elapsed, tree_cost, original_cost, pid, backend "
+                "SELECT sink, cone_inputs, action, elapsed, tree_cost, "
+                "original_cost, pid, backend "
                 "FROM cones WHERE run_id=? ORDER BY seq",
                 (run_id,),
             )
         ]
-
-    def cone_costs(self) -> dict[str, dict[str, float]]:
-        """Mean observed elapsed per structural task key, across every
-        recorded run — the cost model's lookup table."""
-        return {
-            r["task_key"]: {"mean": r["mean"], "count": r["n"]}
-            for r in self._conn.execute(
-                "SELECT task_key, AVG(elapsed) AS mean, COUNT(*) AS n "
-                "FROM cones WHERE task_key IS NOT NULL AND elapsed IS NOT "
-                "NULL GROUP BY task_key"
-            )
-        }
-
-    def input_bucket_costs(self) -> dict[int, float]:
-        """Mean observed elapsed per cone-input count — the fallback for
-        cones never seen before."""
-        return {
-            int(r["cone_inputs"]): r["mean"]
-            for r in self._conn.execute(
-                "SELECT cone_inputs, AVG(elapsed) AS mean FROM cones "
-                "WHERE cone_inputs IS NOT NULL AND elapsed IS NOT NULL "
-                "GROUP BY cone_inputs"
-            )
-        }
 
     # -- export ---------------------------------------------------------
 

@@ -28,8 +28,6 @@ the growing rebuilt network in the parent.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 import traceback
@@ -86,31 +84,6 @@ class ConeTask:
             "time_budget": self.time_budget,
             "fault": self.fault,
         }
-
-    def task_key(self) -> str:
-        """Structural identity of this cone job, known *before* any BDD
-        is built.
-
-        A sha256 over the canonical JSON of the cone slice, the shipped
-        don't-care cubes, and the decomposition options — everything
-        that determines the worker's output.  Slice extraction is
-        deterministic (sorted cone inputs, topological node order), so
-        the same cone of the same design under the same knobs always
-        hashes the same.  This is the key the ledger records costs
-        under and the cost model predicts by; the *exact*
-        function-canonical key (the interval signature) is computed
-        worker-side by :func:`interval_signature` once the BDD exists.
-        """
-        payload = json.dumps(
-            {
-                "slice": self.slice,
-                "dc_cubes": self.dc_cubes,
-                "options": self.options,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ConeTask":
@@ -239,51 +212,6 @@ def merge_cone_result(
 # ---------------------------------------------------------------------------
 
 
-def interval_signature(manager, interval) -> str:
-    """Exact function-canonical signature of a don't-care interval.
-
-    BDDs are canonical: two cones compute the same incompletely
-    specified function iff their ``[lower, upper]`` interval BDDs are
-    isomorphic.  This hashes the shared DAG of both bounds by assigning
-    sequential canonical ids in a deterministic postorder (terminals
-    pinned to 0/1, internal nodes keyed by ``(var_name, lo_id, hi_id)``)
-    so the digest is independent of the worker's private node numbering
-    and variable creation order.  Recorded in the ledger's cone rows —
-    the lookup key a future cross-run cone cache needs.
-    """
-    ids: dict[int, int] = {0: 0, 1: 1}
-    entries: list[list[Any]] = []
-
-    def canonize(root: int) -> None:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in ids:
-                continue
-            lo, hi = manager.lo(node), manager.hi(node)
-            if lo in ids and hi in ids:
-                ids[node] = len(ids)
-                entries.append(
-                    [manager.var_name(manager.top_var(node)),
-                     ids[lo], ids[hi]]
-                )
-            else:
-                stack.append(node)
-                if hi not in ids:
-                    stack.append(hi)
-                if lo not in ids:
-                    stack.append(lo)
-
-    canonize(interval.lower)
-    canonize(interval.upper)
-    payload = json.dumps(
-        {"nodes": entries,
-         "roots": [ids[interval.lower], ids[interval.upper]]},
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _apply_fault(fault: Optional[str]) -> None:
     if not fault:
         return
@@ -341,7 +269,6 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     sink = task.sink
     _obs.event("cone.start", sink=sink, cone_inputs=len(slice_net.inputs))
 
-    signature: Optional[str] = None
     backend_name: Optional[str] = None
 
     def base(action: str, **extra: Any) -> dict[str, Any]:
@@ -349,7 +276,6 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
             "version": CONE_TASK_VERSION,
             "sink": sink,
             "action": action,
-            "signature": signature,
             "cone_inputs": len(slice_net.inputs),
             "tree_cost": None,
             "original_cost": None,
@@ -394,9 +320,6 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
                 unreachable, manager.cube(literals)
             )
     interval = Interval.with_dont_cares(manager, f, unreachable)
-    # Exact cone identity (function + don't cares) for the ledger; the
-    # BDD is already built, so this is a linear walk over its DAG.
-    signature = interval_signature(manager, interval)
 
     replacement = Network(f"{slice_net.name}::rebuilt")
     for name in slice_net.inputs:

@@ -326,3 +326,51 @@ class TestMalformedInput:
         with pytest.raises(NetlistError, match=r"^<blif>:4: ") as info:
             parse_blif(blif)
         assert isinstance(info.value, ValueError)
+
+
+class TestCheckInterfaces:
+    """``repro check`` on two netlists whose latch sets differ (latch
+    cleanup removed some) ends with one ``error:`` line naming them and
+    exit code 1: no traceback and no crash bundle."""
+
+    @pytest.fixture(scope="class")
+    def s5378_pair(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("check_s5378")
+        source, optimized = tmp_path / "s5378.blif", tmp_path / "opt.blif"
+        assert main(["generate", "s5378", "-o", str(source)]) == 0
+        assert main(["optimize", str(source), "-o", str(optimized)]) == 0
+        return source, optimized
+
+    @pytest.mark.parametrize("mode", [[], ["--sat"], ["--sequential"]])
+    def test_s5378_latch_cleanup_fails_cleanly(
+        self, s5378_pair, mode, tmp_path, monkeypatch, capsys
+    ):
+        source, optimized = s5378_pair
+        removed = sorted(
+            set(read_blif(source).latches) - set(read_blif(optimized).latches)
+        )
+        assert removed, "latch cleanup removed nothing on s5378"
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = main(["check", str(source), str(optimized), *mode])
+        captured = capsys.readouterr()
+        assert code == 1
+        (message,) = captured.err.splitlines()
+        assert message.startswith("error: latch sets differ (only in left: ")
+        assert all(name in message for name in removed)
+        assert "Traceback" not in captured.err + captured.out
+        assert not list(tmp_path.glob("repro_crash_*"))
+
+    def test_mismatch_is_a_netlist_error(self):
+        from repro.network import (
+            InterfaceMismatch,
+            NetlistError,
+            combinational_equivalent_bdd,
+        )
+
+        left, right = parse_blif(DEMO), parse_blif(DEMO.replace("q1", "q2"))
+        with pytest.raises(
+            InterfaceMismatch, match=r"only in left: q1; only in right: q2"
+        ) as info:
+            combinational_equivalent_bdd(left, right)
+        assert isinstance(info.value, NetlistError)

@@ -182,7 +182,6 @@ class TestGuideSnippets:
     def test_run_ledger_snippet(self, tmp_path):
         from repro.benchgen import iscas_analog
         from repro.obs import ledger as obs_ledger
-        from repro.obs.costmodel import ConeCostModel
         from repro.synth import SynthesisOptions, algorithm1
 
         net = iscas_analog("s344")
@@ -198,8 +197,6 @@ class TestGuideSnippets:
 
         assert ledger.run(run_id)["status"] == "finished"
         assert ledger.cones(run_id)
-        model = ConeCostModel.from_ledger(ledger)
-        assert model
         ledger.close()
 
     def test_live_telemetry_snippet(self):

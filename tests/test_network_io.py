@@ -1,5 +1,8 @@
 """Tests for BLIF and ISCAS89 bench readers/writers."""
 
+import re
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,3 +163,82 @@ class TestFileIo:
         bench_path = tmp_path / "x.bench"
         save_bench(bench_net, bench_path)
         assert outputs_equal(bench_net, read_bench(bench_path))
+
+
+# ---------------------------------------------------------------------------
+# Reader mutation fuzz
+# ---------------------------------------------------------------------------
+
+#: Tokens a ``replace`` mutation may write besides the text's own.
+GARBAGE_TOKENS = (
+    "", "0", "1", "-", "2", "01", "x", "=", "(", ")", ",", "AND", "DFF",
+    "FROB", ".names", ".latch", ".end", ".inputs", "\\",
+)
+
+TOKEN = re.compile(r"[^\s(),=]+")
+
+
+@lru_cache(maxsize=None)
+def written_text(fmt, seed):
+    """``small_circuit(seed)`` as BLIF or ``.bench`` writer output."""
+    from repro.network import expand_covers
+    from strategies import small_circuit
+
+    net = small_circuit(seed, latches=4)
+    if fmt == "blif":
+        return write_blif(net)
+    expand_covers(net)
+    return write_bench(net)
+
+
+@st.composite
+def mutants(draw):
+    """Writer output with one to three line-level mutations: delete,
+    duplicate, swap or truncate a line, or replace one token."""
+    fmt = draw(st.sampled_from(["blif", "bench"]))
+    text = written_text(fmt, draw(st.integers(0, 5)))
+    lines = text.splitlines()
+    vocabulary = sorted(set(TOKEN.findall(text))) + list(GARBAGE_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "truncate", "replace"]
+        ))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            spans = [m.span() for m in TOKEN.finditer(lines[i])]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                token = draw(st.sampled_from(vocabulary))
+                lines[i] = lines[i][:start] + token + lines[i][end:]
+    return fmt, "\n".join(lines) + "\n"
+
+
+class TestReaderMutationFuzz:
+    """A mutated netlist either fails with ``NetlistError`` or parses to
+    a network whose BLIF re-reads to the same netlist — never another
+    exception, never a network the writer and reader disagree on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutants())
+    def test_mutant_fails_cleanly_or_round_trips(self, mutant):
+        from repro.network import NetlistError
+
+        fmt, text = mutant
+        parse = parse_blif if fmt == "blif" else parse_bench
+        try:
+            net = parse(text)
+        except NetlistError:
+            return
+        blif = write_blif(net)
+        assert write_blif(parse_blif(blif)) == blif
